@@ -222,7 +222,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			d.StubInferences, d.Slash31Fraction)
 		fmt.Fprintf(stderr, "decode: %s\n", d.Decode.String())
 		fmt.Fprintf(stderr, "spill: %s\n", d.Spill.String())
-		fmt.Fprintf(stderr, "partition: %s\n", res.Partition.String())
 		if d.Window.Advances > 0 {
 			fmt.Fprintf(stderr, "window: %s\n", d.Window.String())
 		}

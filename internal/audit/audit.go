@@ -153,20 +153,6 @@ func (r *Report) Record(v Violation, limit int) {
 	r.Violations = append(r.Violations, v)
 }
 
-// Merge folds another report into r. Partitioned runs audit each
-// inference component independently and combine the reports at the
-// merge stage: steps, check counts and dropped counts add, retained
-// violations concatenate up to limit (overflow counts as dropped).
-// Call Sort afterwards to restore the deterministic order.
-func (r *Report) Merge(o *Report, limit int) {
-	r.Steps += o.Steps
-	r.Checks += o.Checks
-	r.Dropped += o.Dropped
-	for _, v := range o.Violations {
-		r.Record(v, limit)
-	}
-}
-
 // Total is the number of violations detected, including dropped ones.
 func (r *Report) Total() int { return len(r.Violations) + r.Dropped }
 

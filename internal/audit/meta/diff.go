@@ -197,64 +197,24 @@ func DiffIncremental(pl *Pipeline) error {
 	return nil
 }
 
-// DiffPartition runs the component-partitioned fixpoint against the
-// monolithic engine (DisablePartition) across worker counts (serial,
-// two, NumCPU) and requires identical Results — partitioning changes
-// the schedule, never the inference. The pipeline's own world is
-// usually one connected component (an immediate fallback), so the
-// oracle additionally drives a merged multi-island corpus (see
-// IslandCorpus) and requires that the partitioned runs actually
-// decomposed it into at least as many components as islands, keeping
-// the check non-vacuous.
-func DiffPartition(pl *Pipeline) error {
+// DiffWorkers runs the engine at Workers = 1, 2 and NumCPU and requires
+// every Result to equal the pipeline baseline. Workers only shards the
+// state build and the election scans; double-buffered updates and
+// fixed-order shard merges must keep the output independent of it.
+func DiffWorkers(pl *Pipeline) error {
 	base, err := pl.Baseline()
 	if err != nil {
 		return err
 	}
-	workerCounts := []int{1, 2, runtime.NumCPU()}
-	for _, w := range workerCounts {
-		for _, disable := range []bool{false, true} {
-			cfg := pl.Config()
-			cfg.Workers = w
-			cfg.DisablePartition = disable
-			r, err := core.Run(pl.Env.Sanitized, cfg)
-			if err != nil {
-				return err
-			}
-			if err := EqualResults(base, r); err != nil {
-				return fmt.Errorf("partitioned=%v workers=%d vs baseline: %w", !disable, w, err)
-			}
+	for _, w := range []int{1, 2, runtime.NumCPU()} {
+		cfg := pl.Config()
+		cfg.Workers = w
+		r, err := core.Run(pl.Env.Sanitized, cfg)
+		if err != nil {
+			return err
 		}
-	}
-
-	const islands = 3
-	ds, icfg := IslandCorpus(pl.Seed, islands)
-	s := ds.Sanitize()
-	var iBase *core.Result
-	for _, w := range workerCounts {
-		for _, disable := range []bool{false, true} {
-			cfg := icfg
-			cfg.Workers = w
-			cfg.DisablePartition = disable
-			r, err := core.Run(s, cfg)
-			if err != nil {
-				return err
-			}
-			if !disable {
-				switch {
-				case r.Partition == nil || r.Partition.Fallback != "":
-					return fmt.Errorf("islands workers=%d: partitioned run fell back (%s) — oracle is vacuous",
-						w, r.Partition.String())
-				case r.Partition.Components < islands:
-					return fmt.Errorf("islands workers=%d: %d components for %d islands — oracle is vacuous",
-						w, r.Partition.Components, islands)
-				}
-			}
-			if iBase == nil {
-				iBase = r
-			} else if err := EqualResults(iBase, r); err != nil {
-				return fmt.Errorf("islands partitioned=%v workers=%d: %w", !disable, w, err)
-			}
+		if err := EqualResults(base, r); err != nil {
+			return fmt.Errorf("workers=%d vs baseline: %w", w, err)
 		}
 	}
 	return nil

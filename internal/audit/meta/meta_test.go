@@ -104,7 +104,7 @@ func TestDifferentialOracles(t *testing.T) {
 					{"incremental", DiffIncremental},
 					{"lpm", DiffLPM},
 					{"binary-roundtrip", DiffBinaryRoundTrip},
-					{"partition", DiffPartition},
+					{"workers", DiffWorkers},
 					{"snapshot", DiffSnapshot},
 					{"window", DiffWindow},
 				}

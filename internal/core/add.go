@@ -18,11 +18,9 @@ import (
 // both modes produce byte-identical state.
 func (st *runState) addStep(first bool) {
 	st.dirty.clear()
-	st.lastPassDual = 0
 	firstPass := true
 	for {
 		st.diag.AddPasses++
-		passDual := st.diag.DualSameAS
 		var scanList []int32
 		if firstPass || st.cfg.DisableIncremental {
 			st.dirty.clear()
@@ -43,10 +41,6 @@ func (st *runState) addStep(first bool) {
 		if first && firstPass {
 			st.fireStage(StageInverse, 0)
 		}
-		// The final pass's delta is the stable same-organisation dual
-		// count (nothing changes in a quiet pass), which the partitioned
-		// engine's diagnostics reconstruction reads (see iterRec).
-		st.lastPassDual = st.diag.DualSameAS - passDual
 		firstPass = false
 		if st.cfg.SinglePass {
 			return

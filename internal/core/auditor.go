@@ -413,92 +413,3 @@ func (st *runState) auditElections(stage string, iter int) {
 		}
 	}
 }
-
-// auditPartitionInvariants cross-checks the component decomposition of
-// a partitioned run (DESIGN.md §12) on a standalone auditor whose
-// report is merged with the per-component reports:
-//
-//   - partition-cover: the component address sets are an exhaustive,
-//     disjoint cover of the observed universe, and every global
-//     adjacency landed in exactly one component — with disjointness,
-//     equal totals prove each component's neighbour sets (every
-//     election input and reverse dependency) are exactly the global
-//     ones restricted to the component, i.e. no election input crosses
-//     a component boundary.
-//   - partition-closure: the §4.2 other-side heuristic computed inside
-//     a component equals the global computation for every (sampled)
-//     observed address — the component universe contains every /30
-//     blockmate the heuristic can consult.
-//   - partition-hash: the per-component state fingerprints recompose to
-//     the global fingerprint the monolithic stopping rule would have
-//     seen at the stop iteration — for replayed components this doubles
-//     as the replay-determinism check.
-func auditPartitionInvariants(pa *runAuditor, ev *Evidence, runs []*compRun) {
-	pa.report.Steps++
-
-	covered := 0
-	adjTotal := 0
-	multi := make(map[inet.Addr]bool)
-	for ci, c := range runs {
-		adjTotal += len(c.ev.Adjacencies)
-		for a := range c.ev.AllAddrs {
-			pa.check()
-			if !ev.AllAddrs.Contains(a) {
-				pa.violate("partition-cover", auditStageFinal, 0,
-					"component %d contains %v, which is not in the observed universe", ci, a)
-				continue
-			}
-			if multi[a] {
-				pa.violate("partition-cover", auditStageFinal, 0,
-					"address %v appears in more than one component", a)
-				continue
-			}
-			multi[a] = true
-			covered++
-		}
-	}
-	pa.check()
-	if covered != len(ev.AllAddrs) {
-		pa.violate("partition-cover", auditStageFinal, 0,
-			"components cover %d of %d observed addresses", covered, len(ev.AllAddrs))
-	}
-	pa.check()
-	if adjTotal != len(ev.Adjacencies) {
-		pa.violate("partition-cover", auditStageFinal, 0,
-			"components hold %d of %d adjacencies", adjTotal, len(ev.Adjacencies))
-	}
-
-	stride, off := pa.stride()
-	for ci, c := range runs {
-		for k := off; k < int32(len(c.st.addrs)); k += stride {
-			a := c.st.addrs[k]
-			local, observed := c.st.otherSide[a]
-			if !observed {
-				continue // universe node outside the observed set: no §4.2 pairing
-			}
-			pa.check()
-			if global := inet.InferOtherSide(a, ev.AllAddrs); global.Other != local {
-				pa.violate("partition-closure", auditStageFinal, 0,
-					"component %d other side of %v is %v locally, %v globally",
-					ci, a, local, global.Other)
-			}
-		}
-	}
-
-	var sum, want uint64
-	for ci, c := range runs {
-		pa.check()
-		if c.preStub != c.wantAtT {
-			pa.violate("partition-hash", auditStageFinal, 0,
-				"component %d fingerprint %#x diverges from its traced stop-state %#x (replayed=%v)",
-				ci, c.preStub, c.wantAtT, c.replayed)
-		}
-		sum += c.preStub
-		want += c.wantAtT
-	}
-	pa.check()
-	if sum != want {
-		pa.violate("partition-hash", auditStageFinal, 0,
-			"component fingerprints sum to %#x, global stopping rule saw %#x", sum, want)
-	}
-}

@@ -67,22 +67,15 @@ type Config struct {
 	// top of repeated-state detection (§4.6). Zero means the default.
 	MaxIterations int
 
-	// Workers parallelises the fixpoint itself: independent inference
-	// components run concurrently across this many goroutines (see
-	// DisablePartition), the largest component additionally fans its
-	// read-only election scans out over the same count, and the ingest
-	// and state-build phases shard likewise. Results are bit-identical
-	// for any value (updates are double-buffered, §4.4.5, per-shard
-	// outputs are merged in deterministic order, and the component
-	// merge is order-independent). Zero or one means serial.
+	// Workers fans the state build (IP→AS resolution, §4.2 other
+	// sides) and the read-only election scans of every add and remove
+	// pass out over this many goroutines; ingest callers (mapit.Infer,
+	// cmd/mapit) reuse the count for sanitisation and collection. The
+	// add/remove loop itself is one sequential fixpoint (DESIGN.md §12).
+	// Results are byte-identical for any value: updates are
+	// double-buffered (§4.4.5) and per-shard outputs merge in a fixed
+	// order. Zero or one means serial.
 	Workers int
-
-	// DisablePartition forces the monolithic single-loop fixpoint even
-	// when the evidence decomposes into several closed inference
-	// components. A/B escape hatch: results are byte-identical either
-	// way, the partitioned default is just faster on fragmented
-	// topologies. See DESIGN.md §12.
-	DisablePartition bool
 
 	// DisableIncremental forces every pass of the add and remove steps
 	// to rescan all eligible halves instead of only the dirty set
@@ -117,10 +110,7 @@ type Config struct {
 	// OnStage, when set, is called at each Stage with a lazy snapshot:
 	// nothing is materialised until StageSnapshot.Result is called, so
 	// hooks that only count stages (or sample a few) cost almost
-	// nothing. Iteration snapshots pass the iteration number. Setting
-	// OnStage pins the run to the monolithic fixpoint (stage firing
-	// order is a property of the single global loop); results are
-	// still byte-identical.
+	// nothing. Iteration snapshots pass the iteration number.
 	OnStage func(stage Stage, iteration int, s *StageSnapshot)
 
 	// DecodeStats, when non-nil, is copied into Result.Diag.Decode

@@ -124,12 +124,25 @@ type Result struct {
 	// Audit is the runtime invariant auditor's report; nil unless
 	// Config.Audit enabled auditing for the run.
 	Audit *audit.Report
-	// Partition describes the component schedule of the partitioned
-	// fixpoint (component count, sizes, per-component iteration counts,
-	// replays), or records why the run fell back to the monolithic
-	// loop. Purely observational: excluded from differential result
-	// comparison, since partitioning never changes the output.
+	// Partition is always nil.
+	//
+	// Deprecated: the component-partitioned fixpoint was removed (one
+	// connected component holds most addresses of traceroute evidence,
+	// so the split never paid; DESIGN.md §12). The field survives only
+	// because the end-to-end benchmark in bench/ still reads it; it goes
+	// when the benchmark drops its partition metrics.
 	Partition *PartitionInfo
+}
+
+// PartitionInfo is the record the removed partitioned fixpoint attached
+// to Result.Partition.
+//
+// Deprecated: never produced; kept only so existing readers of
+// Result.Partition still compile.
+type PartitionInfo struct {
+	Components int
+	GiantShare float64
+	Replays    int
 }
 
 // HighConfidence returns the non-uncertain direct inferences — the

@@ -16,12 +16,6 @@ func Run(s *trace.Sanitized, cfg Config) (*Result, error) {
 
 // RunEvidence executes MAP-IT over pre-collected evidence (see
 // Collector for streaming corpora that never fit in memory).
-//
-// When the evidence decomposes into more than one closed inference
-// component, the add/remove fixpoint runs per component across
-// Config.Workers goroutines and the outputs are merged — byte-identical
-// to the monolithic engine (DESIGN.md §12; escape hatch
-// Config.DisablePartition).
 func RunEvidence(ev *Evidence, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -32,18 +26,14 @@ func RunEvidence(ev *Evidence, cfg Config) (*Result, error) {
 	// engines answer in a few flat array reads. Idempotent — sweeps
 	// that reuse one Config across runs compile once.
 	cfg.freeze()
-	r, pinfo := runPartitioned(&cfg, ev)
-	if r == nil {
-		st := newRunState(&cfg, ev)
-		st.fixpoint()
-		st.auditFinish()
-		r = st.result()
-		if st.auditor != nil {
-			r.Audit = st.auditor.report
-		}
-		r.ProbeSuggestions = st.suggestProbes()
-		r.Partition = pinfo
+	st := newRunState(&cfg, ev)
+	st.fixpoint()
+	st.auditFinish()
+	r := st.result()
+	if st.auditor != nil {
+		r.Audit = st.auditor.report
 	}
+	r.ProbeSuggestions = st.suggestProbes()
 	if cfg.DecodeStats != nil {
 		r.Diag.Decode = *cfg.DecodeStats
 	}

@@ -73,17 +73,6 @@ type runState struct {
 	// read it — membership is the whole test.)
 	seenSet map[uint64]struct{}
 
-	// n31 is the integer §4.2 /31 count behind diag.Slash31Fraction,
-	// kept so a partitioned run can recompose the global fraction from
-	// exact per-component numerators (floats do not sum).
-	n31 int
-
-	// lastPassDual is the DualSameAS delta of the most recent add
-	// step's final (quiet) pass — the stable same-organisation dual
-	// count the partitioned engine needs to reconstruct monolithic
-	// diagnostics (see mergeDiagnostics).
-	lastPassDual int
-
 	// snapHash/snapSevered/snapInf memoise the last stage snapshot's
 	// inference list (see StageSnapshot): consecutive hooks between
 	// which neither the state fingerprint nor the severed set moved
@@ -202,7 +191,6 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 			n31++
 		}
 	}
-	st.n31 = n31
 	if len(ev.AllAddrs) > 0 {
 		st.diag.Slash31Fraction = float64(n31) / float64(len(ev.AllAddrs))
 	}
@@ -690,9 +678,7 @@ func (st *runState) result() *Result {
 }
 
 // inferenceCmp is the output order of Result.Inferences: by half, the
-// direct record before its indirect counterpart. Shared by result()
-// and the partitioned engine's merge (component address sets are
-// disjoint, so the order is total over any concatenation).
+// direct record before its indirect counterpart.
 func inferenceCmp(a, b Inference) int {
 	if c := halfCmp(Half{Addr: a.Addr, Dir: a.Dir}, Half{Addr: b.Addr, Dir: b.Dir}); c != 0 {
 		return c

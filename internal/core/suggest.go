@@ -69,8 +69,7 @@ func (st *runState) suggestProbes() []ProbeSuggestion {
 	return out
 }
 
-// probeCmp is the output order of Result.ProbeSuggestions, shared with
-// the partitioned engine's merge.
+// probeCmp is the output order of Result.ProbeSuggestions.
 func probeCmp(a, b ProbeSuggestion) int {
 	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
 		return c

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -22,11 +23,13 @@ import (
 // position is exactly what a fresh Collector fed only the window's
 // traces would produce, and the recomputed Result is byte-identical to
 // a from-scratch batch run (the DiffWindow oracle in internal/audit/
-// meta proves this at every window position). Inference itself re-runs
-// over the materialised evidence — RunEvidence is already incremental
-// inside (dirty-set fixpoint, partitioning, compiled lookups) — and an
-// Advance over unchanged contents reuses the previous Result without
-// recomputing.
+// meta proves this at every window position). The materialised
+// evidence is itself maintained incrementally: sorted live adjacency
+// lists (global and per monitor) and the live address set are patched
+// with only the keys whose refcount crossed zero since the last build.
+// Inference re-runs over it — RunEvidence is already incremental inside
+// (dirty-set fixpoint, compiled lookups) — and an Advance over unchanged
+// contents reuses the previous Result without recomputing.
 
 // WindowOptions configures a sliding inference window.
 type WindowOptions struct {
@@ -106,6 +109,52 @@ type windowEntry struct {
 type monWindow struct {
 	traces int
 	adjs   map[trace.Adjacency]int
+	live   liveAdjs
+}
+
+// liveAdjs keeps the sorted key list of an adjacency refcount map
+// without re-sorting it per build: touched collects the keys whose
+// count crossed zero since sorted was last brought up to date.
+type liveAdjs struct {
+	sorted  []trace.Adjacency
+	touched []trace.Adjacency
+}
+
+// bump adjusts adj's refcount in m and records a zero crossing.
+func (l *liveAdjs) bump(m map[trace.Adjacency]int, adj trace.Adjacency, delta int) {
+	if bumpCount(m, adj, delta) {
+		l.touched = append(l.touched, adj)
+	}
+}
+
+// update returns the sorted live keys of m in O(N + d log d) for d
+// touched keys: the touched keys are sorted and merged into the previous
+// list, each kept iff it is live now. The previous list is never written
+// (earlier Evidence values share it); an untouched list is returned as is.
+func (l *liveAdjs) update(m map[trace.Adjacency]int) []trace.Adjacency {
+	if len(l.touched) == 0 {
+		return l.sorted
+	}
+	slices.SortFunc(l.touched, adjacencyCmp)
+	touched := slices.Compact(l.touched)
+	old := l.sorted
+	out := make([]trace.Adjacency, 0, len(m))
+	i := 0
+	for _, t := range touched {
+		for i < len(old) && adjacencyCmp(old[i], t) < 0 {
+			out = append(out, old[i])
+			i++
+		}
+		if i < len(old) && old[i] == t {
+			i++
+		}
+		if _, live := m[t]; live {
+			out = append(out, t)
+		}
+	}
+	out = append(out, old[i:]...)
+	l.sorted, l.touched = out, l.touched[:0]
+	return out
 }
 
 // Window is a sliding-window streaming inference engine. Not safe for
@@ -119,12 +168,18 @@ type Window struct {
 	// trace timestamp, removed wholesale when the window passes them.
 	buckets map[int64][]windowEntry
 
-	// Refcounted evidence of the current contents.
+	// Refcounted evidence of the current contents; adjLive and allLive
+	// track the live keys of adjCount and allCount.
 	adjCount                      map[trace.Adjacency]int
 	allCount                      map[inet.Addr]int
 	retCount                      map[inet.Addr]int
 	mon                           map[string]*monWindow
 	total, discarded, removedHops int
+	adjLive                       liveAdjs
+	allLive                       inet.AddrSet
+
+	// ev memoises Evidence until the contents next change.
+	ev *Evidence
 
 	// dirty marks contents changed since the last recompute; last is
 	// the cached Result reused by no-op Advances.
@@ -157,6 +212,7 @@ func NewWindow(opt WindowOptions) (*Window, error) {
 		adjCount:     make(map[trace.Adjacency]int),
 		allCount:     make(map[inet.Addr]int),
 		retCount:     make(map[inet.Addr]int),
+		allLive:      make(inet.AddrSet),
 		links:        make(map[uint64]struct{}),
 		ifacePresent: make(map[inet.Addr]struct{}),
 		ifaceDied:    make(map[inet.Addr]struct{}),
@@ -222,19 +278,26 @@ func (w *Window) Observe(t trace.Trace) bool {
 // count>0, so any Observe/expire interleaving lands on the same state
 // as a fresh collector over the surviving traces.
 func (w *Window) apply(e windowEntry, delta int) {
+	w.ev = nil
 	w.total += delta
 	w.removedHops += delta * e.removedHops
 	if e.discarded {
 		w.discarded += delta
 	}
 	for _, a := range e.allAddrs {
-		bumpCount(w.allCount, a, delta)
+		if bumpCount(w.allCount, a, delta) {
+			if delta > 0 {
+				w.allLive.Add(a)
+			} else {
+				delete(w.allLive, a)
+			}
+		}
 	}
 	for _, a := range e.retAddrs {
 		bumpCount(w.retCount, a, delta)
 	}
 	for _, adj := range e.adjs {
-		bumpCount(w.adjCount, adj, delta)
+		w.adjLive.bump(w.adjCount, adj, delta)
 	}
 	if w.mon != nil && !e.discarded {
 		acc := w.mon[e.monitor]
@@ -244,7 +307,7 @@ func (w *Window) apply(e windowEntry, delta int) {
 		}
 		acc.traces += delta
 		for _, adj := range e.adjs {
-			bumpCount(acc.adjs, adj, delta)
+			acc.live.bump(acc.adjs, adj, delta)
 		}
 		if acc.traces == 0 {
 			delete(w.mon, e.monitor)
@@ -253,13 +316,17 @@ func (w *Window) apply(e windowEntry, delta int) {
 }
 
 // bumpCount adjusts a refcount, deleting the key at zero so map sizes
-// track distinct live entries.
-func bumpCount[K comparable](m map[K]int, k K, delta int) {
-	if n := m[k] + delta; n == 0 {
+// track distinct live entries, and reports whether the count crossed
+// zero (0→1 or 1→0).
+func bumpCount[K comparable](m map[K]int, k K, delta int) bool {
+	old := m[k]
+	n := old + delta
+	if n == 0 {
 		delete(m, k)
-	} else {
-		m[k] = n
+		return true
 	}
+	m[k] = n
+	return old == 0
 }
 
 // Advance moves the window's right edge to now, expires every entry
@@ -306,22 +373,18 @@ func (w *Window) Advance(now int64) (*Result, error) {
 	return &out, nil
 }
 
-// Evidence materialises the current contents as a fresh *Evidence,
-// byte-identical to a new Collector fed only the resident traces. The
-// returned value shares no storage with the window.
+// Evidence materialises the current contents, byte-identical to a new
+// Collector fed only the resident traces. The value is memoised until
+// the next Observe or expiry, so repeated calls return the same pointer,
+// and its slices are shared with later builds: treat it as read-only.
+// The window never writes storage it has handed out.
 func (w *Window) Evidence() *Evidence {
-	adjs := make([]trace.Adjacency, 0, len(w.adjCount))
-	for adj := range w.adjCount {
-		adjs = append(adjs, adj)
-	}
-	slices.SortFunc(adjs, adjacencyCmp)
-	all := make(inet.AddrSet, len(w.allCount))
-	for a := range w.allCount {
-		all.Add(a)
+	if w.ev != nil {
+		return w.ev
 	}
 	ev := &Evidence{
-		AllAddrs:    all,
-		Adjacencies: adjs,
+		AllAddrs:    maps.Clone(w.allLive),
+		Adjacencies: w.adjLive.update(w.adjCount),
 		Stats: trace.Stats{
 			TotalTraces:     w.total,
 			DiscardedTraces: w.discarded,
@@ -333,19 +396,15 @@ func (w *Window) Evidence() *Evidence {
 	if w.mon != nil {
 		out := make([]MonitorEvidence, 0, len(w.mon))
 		for name, acc := range w.mon {
-			me := MonitorEvidence{Monitor: name, Traces: acc.traces,
-				Adjacencies: make([]trace.Adjacency, 0, len(acc.adjs))}
-			for adj := range acc.adjs {
-				me.Adjacencies = append(me.Adjacencies, adj)
-			}
-			slices.SortFunc(me.Adjacencies, adjacencyCmp)
-			out = append(out, me)
+			out = append(out, MonitorEvidence{Monitor: name, Traces: acc.traces,
+				Adjacencies: acc.live.update(acc.adjs)})
 		}
 		slices.SortFunc(out, func(a, b MonitorEvidence) int {
 			return strings.Compare(a.Monitor, b.Monitor)
 		})
 		ev.Monitors = out
 	}
+	w.ev = ev
 	return ev
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -446,4 +447,72 @@ func TestWindowNoRecomputeSharesResult(t *testing.T) {
 	if len(r1.Inferences) > 0 && &r1.Inferences[0] != &r2.Inferences[0] {
 		t.Fatal("no-op advance did not share the cached inference slice")
 	}
+}
+
+// TestLiveAdjsUpdate drives random refcount churn through liveAdjs and
+// checks every update against a from-scratch sort of the live keys,
+// including that earlier results are never written by later updates.
+func TestLiveAdjsUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	counts := make(map[trace.Adjacency]int)
+	var live liveAdjs
+	type kept struct{ got, copy []trace.Adjacency }
+	var history []kept
+	for round := 0; round < 200; round++ {
+		for op := rng.Intn(12); op > 0; op-- {
+			adj := trace.Adjacency{First: inet.Addr(rng.Intn(8)), Second: inet.Addr(rng.Intn(8))}
+			delta := 1
+			if counts[adj] > 0 && rng.Intn(2) == 0 {
+				delta = -1
+			}
+			live.bump(counts, adj, delta)
+		}
+		want := make([]trace.Adjacency, 0, len(counts))
+		for adj := range counts {
+			want = append(want, adj)
+		}
+		slices.SortFunc(want, adjacencyCmp)
+		got := live.update(counts)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: live keys %v, want %v", round, got, want)
+		}
+		history = append(history, kept{got, slices.Clone(got)})
+	}
+	for i, h := range history {
+		if !slices.Equal(h.got, h.copy) {
+			t.Fatalf("update %d was overwritten by a later update", i)
+		}
+	}
+}
+
+// TestWindowEvidenceMemoised pins the Evidence contract: one value per
+// content state, replaced (never mutated) when the contents change.
+func TestWindowEvidenceMemoised(t *testing.T) {
+	w, err := NewWindow(WindowOptions{Length: 60 * time.Second, Config: windowConfig(), TrackMonitors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range setA(100) {
+		w.Observe(tc)
+	}
+	if _, err := w.Advance(100); err != nil {
+		t.Fatal(err)
+	}
+	ev := w.Evidence()
+	if w.Evidence() != ev {
+		t.Fatal("Evidence rebuilt without a content change")
+	}
+	wantEv, _ := batchOver(t, setA(100), windowConfig(), true)
+	for _, tc := range setB(130) {
+		w.Observe(tc)
+	}
+	if w.Evidence() == ev {
+		t.Fatal("Evidence not rebuilt after Observe")
+	}
+	if _, err := w.Advance(170); err != nil { // expires setA
+		t.Fatal(err)
+	}
+	sameEvidence(t, "first evidence after later churn", ev, wantEv)
+	wantB, _ := batchOver(t, setB(130), windowConfig(), true)
+	sameEvidence(t, "after expiry", w.Evidence(), wantB)
 }

@@ -317,7 +317,6 @@ type statsResponse struct {
 	Links      int                   `json:"links"`
 	Monitors   int                   `json:"monitors"`
 	Diag       *core.Diagnostics     `json:"diag,omitempty"`
-	Partition  *core.PartitionInfo   `json:"partition,omitempty"`
 	Decode     *trace.DecodeStats    `json:"decode,omitempty"`
 	Spill      *core.SpillStats      `json:"spill,omitempty"`
 	Window     *core.WindowStats     `json:"window,omitempty"`
@@ -325,8 +324,8 @@ type statsResponse struct {
 }
 
 // handleStats answers GET /v1/stats: snapshot dimensions, the last
-// run's diagnostics (including decode and spill health), partition
-// info, and per-route HTTP counters.
+// run's diagnostics (including decode and spill health) and per-route
+// HTTP counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap, version := s.handle.LoadVersion()
 	resp := statsResponse{
@@ -346,7 +345,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Inferences = ri.inferences
 		diag := ri.diag
 		resp.Diag = &diag
-		resp.Partition = ri.partition
 		decode := diag.Decode
 		resp.Decode = &decode
 		spill := diag.Spill

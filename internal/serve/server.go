@@ -82,7 +82,6 @@ func (o *Options) setDefaults() {
 // a half-updated diagnostic.
 type runInfo struct {
 	diag       core.Diagnostics
-	partition  *core.PartitionInfo
 	inferences int
 	traces     int
 }
@@ -273,7 +272,6 @@ func (s *Server) publishWindowLocked(added int, now int64) (IngestSummary, error
 	snap := snapshot.Build(res, s.win.Evidence())
 	s.run.Store(&runInfo{
 		diag:       res.Diag,
-		partition:  res.Partition,
 		inferences: len(res.Inferences),
 		traces:     s.win.Traces(),
 	})
@@ -307,7 +305,6 @@ func (s *Server) publishLocked(added int) (IngestSummary, error) {
 	snap := snapshot.Build(res, ev)
 	s.run.Store(&runInfo{
 		diag:       res.Diag,
-		partition:  res.Partition,
 		inferences: len(res.Inferences),
 		traces:     s.ing.Traces(),
 	})

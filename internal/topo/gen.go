@@ -18,15 +18,6 @@ import (
 type GenConfig struct {
 	Seed int64
 
-	// Island shifts every identifier band — ASNs, the /16 address pool,
-	// IXP ASNs and prefixes — so that worlds generated with distinct
-	// Island values share no addresses or ASes and their traces can be
-	// merged into one disconnected corpus (the multi-component seeds of
-	// the partitioned-fixpoint harness). Island 0 is byte-identical to
-	// the pre-knob generator; keep Island < 16 so the bands stay
-	// disjoint and the address pool stays below multicast space.
-	Island int
-
 	// Hierarchy sizes.
 	Tier1s    int
 	Tier2s    int
@@ -182,11 +173,6 @@ func (p *ptpAllocator) alloc(size uint32) inet.Addr {
 	return a
 }
 
-// islandASNBand is the ASN spacing between GenConfig.Island bands; wide
-// enough that the tier starts (1, 100, 1000, 10000) and the IXP block
-// (60000+) of the largest configs never cross into the next band.
-const islandASNBand = 100000
-
 // Generate builds a world from the configuration. Generation is fully
 // deterministic in cfg (including Seed).
 func Generate(cfg GenConfig) *World {
@@ -199,9 +185,7 @@ func Generate(cfg GenConfig) *World {
 		},
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		// Island 0 allocates /16s from 16.0.0.0; each further island
-		// starts its own 8.0.0.0/5-sized band (24.0.0.0, 32.0.0.0, …).
-		next16:   uint32(16+8*cfg.Island) << 24,
+		next16:   16 << 24, // /16s are allocated upwards from 16.0.0.0
 		linkIdx:  make(map[[2]inet.ASN][]*Link),
 		ptpAlloc: make(map[*AS]*ptpAllocator),
 		special:  make(map[string]*AS),
@@ -269,26 +253,22 @@ func (a *AS) HostAddr(n uint32) inet.Addr {
 }
 
 func (g *genState) makeASes() {
-	// Each island claims a 100000-wide ASN band: tiers at base+1,
-	// base+100, base+1000, base+10000 and IXPs at base+60000 all fit
-	// with room for the largest configs.
-	base := inet.ASN(g.cfg.Island) * islandASNBand
-	asn := base + 1
+	asn := inet.ASN(1)
 	for i := 0; i < g.cfg.Tier1s; i++ {
 		g.newAS(asn, Tier1)
 		asn++
 	}
-	asn = base + 100
+	asn = 100
 	for i := 0; i < g.cfg.Tier2s; i++ {
 		g.newAS(asn, Tier2)
 		asn++
 	}
-	asn = base + 1000
+	asn = 1000
 	for i := 0; i < g.cfg.Regionals; i++ {
 		g.newAS(asn, Regional)
 		asn++
 	}
-	asn = base + 10000
+	asn = 10000
 	for i := 0; i < g.cfg.Stubs; i++ {
 		g.newAS(asn, Stub)
 		asn++
@@ -521,17 +501,12 @@ func (g *genState) makeIntraLink(a *AS, ra, rb *Router) {
 }
 
 func (g *genState) makeIXPs() {
-	// Island k's exchange LANs live in 185.(1+k).0.0/16 with ASNs in
-	// its own band, disjoint from every other island's.
-	base := inet.MustParseAddr("185.1.0.0") + inet.Addr(g.cfg.Island)<<16
+	// Exchange LANs live in 185.1.0.0/16 with ASNs from 60000.
+	base := inet.MustParseAddr("185.1.0.0")
 	for i := 0; i < g.cfg.IXPs; i++ {
-		name := fmt.Sprintf("IX-%d", i+1)
-		if g.cfg.Island > 0 {
-			name = fmt.Sprintf("IX-%d-%d", g.cfg.Island, i+1)
-		}
 		x := &IXP{
-			Name:   name,
-			ASN:    inet.ASN(60000 + g.cfg.Island*islandASNBand + i),
+			Name:   fmt.Sprintf("IX-%d", i+1),
+			ASN:    inet.ASN(60000 + i),
 			Prefix: inet.Prefix{Base: base + inet.Addr(i)<<10, Len: 22},
 		}
 		g.w.IXPs = append(g.w.IXPs, x)

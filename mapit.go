@@ -59,9 +59,6 @@ type (
 	Stage = core.Stage
 	// StageSnapshot is the lazy snapshot handed to Config.OnStage.
 	StageSnapshot = core.StageSnapshot
-	// PartitionInfo describes the component schedule of the partitioned
-	// fixpoint (Result.Partition).
-	PartitionInfo = core.PartitionInfo
 
 	// AuditChecker configures the runtime invariant auditor (set it as
 	// Config.Audit to cross-check the incremental machinery against
