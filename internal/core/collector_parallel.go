@@ -19,6 +19,46 @@ const (
 	adjBatchSize   = 512
 )
 
+// traceBatchPool and adjBatchPool recycle the pipeline's batch buffers
+// across every ParallelCollector in the process: the consumer of a batch
+// hands it back once it has copied out what it keeps — a sanitise
+// worker after routing a trace batch's adjacencies, a shard owner after
+// inserting an adjacency batch into its set. Pointers to the slices
+// travel through the channels so that neither side allocates.
+var (
+	traceBatchPool = sync.Pool{New: func() any {
+		b := make([]trace.Trace, 0, traceBatchSize)
+		return &b
+	}}
+	adjBatchPool = sync.Pool{New: func() any {
+		b := make([]trace.Adjacency, 0, adjBatchSize)
+		return &b
+	}}
+)
+
+// putTraceBatch returns a consumed trace batch to its pool, zeroed so the
+// pool does not keep the traces' hop slabs alive.
+func putTraceBatch(b *[]trace.Trace) {
+	clear(*b)
+	*b = (*b)[:0]
+	traceBatchPool.Put(b)
+}
+
+// putAdjBatch returns a consumed adjacency batch to its pool.
+func putAdjBatch(b *[]trace.Adjacency) {
+	*b = (*b)[:0]
+	adjBatchPool.Put(b)
+}
+
+// A sanitise worker records each address it sees once, in one map whose
+// value flags the two sets the address belongs to: every responding
+// address (Evidence.AllAddrs) and the responding addresses of retained
+// traces. A retained address is always also seen.
+const (
+	addrSeen uint8 = 1 << iota
+	addrRetained
+)
+
 // ParallelCollector is a sharded, concurrent Collector: traces fan out
 // to sanitise workers, each worker routes the surviving adjacencies by
 // hash to per-shard deduplication sets, and Evidence() sorts the shards
@@ -64,12 +104,14 @@ type ParallelCollector struct {
 	// calls; the merged output never aliases it.
 	sortScratch [][]trace.Adjacency
 
-	// Live pipeline; nil between Evidence() and the next Add.
-	tracesCh chan []trace.Trace
-	shardCh  []chan []trace.Adjacency
+	// Live pipeline; nil between Evidence() and the next Add. batch is
+	// the trace batch being filled, nil until the next Add takes one
+	// from traceBatchPool.
+	tracesCh chan *[]trace.Trace
+	shardCh  []chan *[]trace.Adjacency
 	sanWG    sync.WaitGroup
 	shardWG  sync.WaitGroup
-	batch    []trace.Trace
+	batch    *[]trace.Trace
 }
 
 // NewParallelCollector returns an empty sharded collector with the given
@@ -128,10 +170,13 @@ func (c *ParallelCollector) TrackMonitors() {
 func (c *ParallelCollector) Add(t trace.Trace) {
 	c.start()
 	c.added++
-	c.batch = append(c.batch, t)
-	if len(c.batch) >= traceBatchSize {
+	if c.batch == nil {
+		c.batch = traceBatchPool.Get().(*[]trace.Trace)
+	}
+	*c.batch = append(*c.batch, t)
+	if len(*c.batch) >= traceBatchSize {
 		c.tracesCh <- c.batch
-		c.batch = make([]trace.Trace, 0, traceBatchSize)
+		c.batch = nil
 	}
 }
 
@@ -143,10 +188,10 @@ func (c *ParallelCollector) start() {
 	if c.tracesCh != nil {
 		return
 	}
-	c.tracesCh = make(chan []trace.Trace, 2*c.workers)
-	c.shardCh = make([]chan []trace.Adjacency, len(c.shards))
+	c.tracesCh = make(chan *[]trace.Trace, 2*c.workers)
+	c.shardCh = make([]chan *[]trace.Adjacency, len(c.shards))
 	for i := range c.shardCh {
-		c.shardCh[i] = make(chan []trace.Adjacency, 2*c.workers)
+		c.shardCh[i] = make(chan *[]trace.Adjacency, 2*c.workers)
 		c.shardWG.Add(1)
 		go c.shardOwner(i)
 	}
@@ -162,7 +207,7 @@ func (c *ParallelCollector) drain() {
 	if c.tracesCh == nil {
 		return
 	}
-	if len(c.batch) > 0 {
+	if c.batch != nil {
 		c.tracesCh <- c.batch
 		c.batch = nil
 	}
@@ -177,35 +222,51 @@ func (c *ParallelCollector) drain() {
 }
 
 // sanitizeWorker consumes trace batches, sanitises each trace, and
-// routes its adjacencies to the owning shard. Address sets and
-// statistics accumulate worker-locally; at retirement they merge into
-// the globals, or — in out-of-core mode — flush to the worker's own
-// spill segment so the resident set stays bounded.
+// routes its adjacencies to the owning shard. Addresses (in one flagged
+// map, see addrSeen) and statistics accumulate worker-locally; at
+// retirement they merge into the globals, or — in out-of-core mode —
+// flush to the worker's own spill segment so the resident set stays
+// bounded.
 func (c *ParallelCollector) sanitizeWorker() {
 	defer c.sanWG.Done()
-	allAddrs := make(inet.AddrSet)
-	retainedAddrs := make(inet.AddrSet)
+	addrs := make(map[inet.Addr]uint8)
+	retained := 0 // addresses flagged addrRetained
 	var stats trace.Stats
 	var monitors map[string]*monitorAcc
 	if c.monitors != nil {
 		monitors = make(map[string]*monitorAcc)
 	}
-	bufs := make([][]trace.Adjacency, len(c.shardCh))
+	bufs := make([]*[]trace.Adjacency, len(c.shardCh))
+	for s := range bufs {
+		bufs[s] = adjBatchPool.Get().(*[]trace.Adjacency)
+	}
 	var scratch []trace.Adjacency
 	var sp *spiller
 	if c.spill != nil {
 		sp = newSpiller(c.spill)
 	}
 	for batch := range c.tracesCh {
-		for _, t := range batch {
+		for _, t := range *batch {
 			stats.TotalTraces++
-			for _, h := range t.Hops {
-				if h.Responded() {
-					allAddrs.Add(h.Addr)
-				}
-			}
 			clean, res := trace.Sanitize(t)
 			stats.RemovedHops += res.RemovedHops
+			// Without a discard, clean.Hops is t.Hops with the removed
+			// hops nulled, index for index.
+			for i, h := range t.Hops {
+				if !h.Responded() {
+					continue
+				}
+				want := addrSeen
+				if !res.Discarded && clean.Hops[i].Responded() {
+					want |= addrRetained
+				}
+				if f := addrs[h.Addr]; f&want != want {
+					if want&^f&addrRetained != 0 {
+						retained++
+					}
+					addrs[h.Addr] = f | want
+				}
+			}
 			if res.Discarded {
 				stats.DiscardedTraces++
 				continue
@@ -216,51 +277,41 @@ func (c *ParallelCollector) sanitizeWorker() {
 			}
 			for _, adj := range scratch {
 				s := adjShard(adj, len(bufs))
-				bufs[s] = append(bufs[s], adj)
-				if len(bufs[s]) >= adjBatchSize {
-					c.shardCh[s] <- bufs[s]
-					bufs[s] = make([]trace.Adjacency, 0, adjBatchSize)
-				}
-			}
-			for _, h := range clean.Hops {
-				if h.Responded() {
-					retainedAddrs.Add(h.Addr)
+				buf := bufs[s]
+				*buf = append(*buf, adj)
+				if len(*buf) >= adjBatchSize {
+					c.shardCh[s] <- buf
+					bufs[s] = adjBatchPool.Get().(*[]trace.Adjacency)
 				}
 			}
 		}
-		if sp != nil && c.addrsOverLimit(allAddrs, retainedAddrs) {
-			if sp.flushAddrSet(allAddrs, streamAll) {
-				allAddrs = make(inet.AddrSet)
-			}
-			if sp.flushAddrSet(retainedAddrs, streamRet) {
-				retainedAddrs = make(inet.AddrSet)
-			}
+		putTraceBatch(batch)
+		if sp != nil && c.addrsOverLimit(len(addrs), retained) && sp.flushFlaggedAddrs(addrs) {
+			addrs = make(map[inet.Addr]uint8)
+			retained = 0
 		}
 	}
 	for s, buf := range bufs {
-		if len(buf) > 0 {
+		if len(*buf) > 0 {
 			c.shardCh[s] <- buf
+		} else {
+			putAdjBatch(buf)
 		}
 	}
-	if sp != nil {
-		// Retirement flush: in out-of-core mode the globals must not
-		// accumulate per-worker sets. A failed flush (sticky sink error)
-		// falls through to the global merge — finalisation will report
-		// the error, and the data is not silently lost meanwhile.
-		if sp.flushAddrSet(allAddrs, streamAll) {
-			allAddrs = nil
-		}
-		if sp.flushAddrSet(retainedAddrs, streamRet) {
-			retainedAddrs = nil
-		}
+	// Retirement flush: in out-of-core mode the globals must not
+	// accumulate per-worker sets. A failed flush (sticky sink error)
+	// falls through to the global merge — finalisation will report the
+	// error, and the data is not silently lost meanwhile.
+	if sp != nil && sp.flushFlaggedAddrs(addrs) {
+		addrs = nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for a := range allAddrs {
+	for a, f := range addrs {
 		c.allAddrs.Add(a)
-	}
-	for a := range retainedAddrs {
-		c.retainedAddrs.Add(a)
+		if f&addrRetained != 0 {
+			c.retainedAddrs.Add(a)
+		}
 	}
 	for name, acc := range monitors {
 		dst := c.monitors[name]
@@ -279,12 +330,13 @@ func (c *ParallelCollector) sanitizeWorker() {
 }
 
 // addrsOverLimit applies the worker-share budget (or the RunEntries
-// testing knob) to a worker's address sets.
-func (c *ParallelCollector) addrsOverLimit(all, ret inet.AddrSet) bool {
+// testing knob) to a worker's address map: all is its length, retained
+// its count of addrRetained flags.
+func (c *ParallelCollector) addrsOverLimit(all, retained int) bool {
 	if n := c.spill.cfg.RunEntries; n > 0 {
-		return len(all) >= n || len(ret) >= n
+		return all >= n || retained >= n
 	}
-	return int64(len(all)+len(ret))*addrEntryCost > c.workerLimit
+	return int64(all+retained)*addrEntryCost > c.workerLimit
 }
 
 // shardOwner deduplicates the adjacency batches routed to shard i. Each
@@ -306,9 +358,10 @@ func (c *ParallelCollector) shardOwner(i int) {
 		limit = max(limit, 1)
 	}
 	for batch := range c.shardCh[i] {
-		for _, adj := range batch {
+		for _, adj := range *batch {
 			set[adj] = struct{}{}
 		}
+		putAdjBatch(batch)
 		if sp != nil && len(set) >= limit && sp.flushAdjSet(set) {
 			set = make(map[trace.Adjacency]struct{})
 			c.shards[i] = set

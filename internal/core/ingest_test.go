@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mapit/internal/trace"
@@ -266,5 +268,63 @@ func TestIngestorStrict(t *testing.T) {
 	}
 	if ev.Stats.TotalTraces < len(ds.Traces) {
 		t.Fatalf("failed batch corrupted earlier evidence: %+v", ev.Stats)
+	}
+}
+
+// TestConcurrentIngestorsSharePools runs two Ingestors at once in one
+// process, so their collectors draw trace and adjacency batches from the
+// same pools: each must still produce exactly the serial Collector's
+// evidence for its own corpus. CI runs it under the race detector.
+func TestConcurrentIngestorsSharePools(t *testing.T) {
+	all := synthTraces(6000)
+	corpora := [][]trace.Trace{all[:3000], all[3000:]}
+	type result struct {
+		ev  *Evidence
+		err error
+	}
+	results := make([]result, len(corpora))
+	var wg sync.WaitGroup
+	for i, traces := range corpora {
+		var buf bytes.Buffer
+		if err := trace.WriteBinaryBlocks(&buf, &trace.Dataset{Traces: traces}, 64); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int, data []byte) {
+			defer wg.Done()
+			g := NewIngestor(IngestOptions{Workers: 3, Strict: true, TrackMonitors: i == 1})
+			defer g.Close()
+			// Several streams per ingestor, with a Finish between them,
+			// restart the pipeline and cycle the pools repeatedly.
+			for k := 0; k < 3; k++ {
+				if _, err := g.Ingest(bytes.NewReader(data)); err != nil {
+					results[i].err = err
+					return
+				}
+				if _, err := g.Finish(); err != nil {
+					results[i].err = err
+					return
+				}
+			}
+			results[i].ev, results[i].err = g.Finish()
+		}(i, buf.Bytes())
+	}
+	wg.Wait()
+	for i, traces := range corpora {
+		if results[i].err != nil {
+			t.Fatalf("ingestor %d: %v", i, results[i].err)
+		}
+		serial := NewCollector()
+		for k := 0; k < 3; k++ {
+			for _, tc := range traces {
+				serial.Add(tc)
+			}
+		}
+		want, got := serial.Evidence(), results[i].ev
+		if !reflect.DeepEqual(want.Adjacencies, got.Adjacencies) || want.Stats != got.Stats ||
+			!reflect.DeepEqual(want.AllAddrs, got.AllAddrs) {
+			t.Fatalf("ingestor %d: evidence differs from the serial collector: stats %+v, want %+v",
+				i, got.Stats, want.Stats)
+		}
 	}
 }

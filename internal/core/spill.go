@@ -259,13 +259,44 @@ func (sp *spiller) flushAddrSet(set inet.AddrSet, stream int) bool {
 	if len(set) == 0 || sp.sink.failed() != nil {
 		return false
 	}
-	sf, err := sp.ensureFile()
-	if err != nil {
-		return false
-	}
 	sp.addrScratch = sp.addrScratch[:0]
 	for a := range set {
 		sp.addrScratch = append(sp.addrScratch, a)
+	}
+	return sp.flushAddrScratch(stream)
+}
+
+// flushFlaggedAddrs writes a sanitise worker's flagged address map as
+// one sorted run per stream — the addresses flagged addrSeen to
+// streamAll, then those flagged addrRetained to streamRet — exactly the
+// runs flushAddrSet writes for the two sets the map stands for. It
+// reports whether the map may be discarded: every non-empty stream was
+// spilled.
+func (sp *spiller) flushFlaggedAddrs(set map[inet.Addr]uint8) bool {
+	ok := true
+	for _, s := range [...]struct {
+		flag   uint8
+		stream int
+	}{{addrSeen, streamAll}, {addrRetained, streamRet}} {
+		sp.addrScratch = sp.addrScratch[:0]
+		for a, f := range set {
+			if f&s.flag != 0 {
+				sp.addrScratch = append(sp.addrScratch, a)
+			}
+		}
+		if len(sp.addrScratch) > 0 && (sp.sink.failed() != nil || !sp.flushAddrScratch(s.stream)) {
+			ok = false
+		}
+	}
+	return ok
+}
+
+// flushAddrScratch sorts the staged addresses and appends them as one run
+// to the given stream, reporting whether it was spilled.
+func (sp *spiller) flushAddrScratch(stream int) bool {
+	sf, err := sp.ensureFile()
+	if err != nil {
+		return false
 	}
 	slices.Sort(sp.addrScratch)
 	run, err := sf.sw.AppendAddrRun(sp.addrScratch)

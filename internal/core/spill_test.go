@@ -112,6 +112,60 @@ func TestParallelCollectorSpillEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelCollectorAddrFlushSchedule pins when a sanitise worker
+// flushes its addresses: its one flagged map must spill exactly the runs
+// that two separate sets of all and retained addresses would. A single
+// worker makes the schedule deterministic; the model checks the
+// entry-count limit after every trace batch, as the worker does, and
+// flushes the non-empty sets at retirement.
+func TestParallelCollectorAddrFlushSchedule(t *testing.T) {
+	traces := synthTraces(3000)
+	for _, n := range []int{40, 300, 2000} {
+		all, ret := make(inet.AddrSet), make(inet.AddrSet)
+		wantRuns := 0
+		flush := func() {
+			for _, s := range []inet.AddrSet{all, ret} {
+				if len(s) > 0 {
+					wantRuns++
+				}
+			}
+			all, ret = make(inet.AddrSet), make(inet.AddrSet)
+		}
+		for i, tc := range traces {
+			for _, h := range tc.Hops {
+				if h.Responded() {
+					all.Add(h.Addr)
+				}
+			}
+			if clean, res := trace.Sanitize(tc); !res.Discarded {
+				for _, h := range clean.Hops {
+					if h.Responded() {
+						ret.Add(h.Addr)
+					}
+				}
+			}
+			if ((i+1)%traceBatchSize == 0 || i == len(traces)-1) && (len(all) >= n || len(ret) >= n) {
+				flush()
+			}
+		}
+		flush()
+
+		par := NewParallelCollectorSpill(1, SpillConfig{Dir: t.TempDir(), RunEntries: n})
+		for _, tc := range traces {
+			par.Add(tc)
+		}
+		if _, err := par.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := par.SpillStats().AddrRuns; got != wantRuns {
+			t.Errorf("RunEntries=%d: %d address runs, want %d", n, got, wantRuns)
+		}
+		if err := par.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCollectorSpillIncremental: a spilling collector stays usable
 // after Finish — later Adds extend the evidence, and repeated merges
 // over the same on-disk runs stay correct.

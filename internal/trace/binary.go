@@ -407,12 +407,8 @@ func (c *countReader) Read(p []byte) (int, error) {
 // with byte-offset context, and DecodeOptions.Permissive lets v3
 // streams skip corrupt blocks instead of aborting.
 type BinaryReader struct {
-	br *bufio.Reader
-	cr *countReader
-	// base is the offset of this reader's first byte within the outer
-	// stream — non-zero for the nested readers that decode v3 block
-	// payloads, so their errors still report absolute offsets.
-	base     int64
+	br       *bufio.Reader
+	cr       *countReader
 	version  byte
 	opt      DecodeOptions
 	stats    *DecodeStats
@@ -421,9 +417,13 @@ type BinaryReader struct {
 	// blockIdx is the index of the v3 block being decoded (-1 before
 	// the first block and for flat v2 streams).
 	blockIdx int
-	// pending holds the remaining traces of the current v3 block.
+	// pending holds the remaining traces of the current v3 block. Next
+	// hands out copies, so its backing array, the payload buffer and the
+	// decoder scratch are all reused from block to block.
 	pending []Trace
 	pendIdx int
+	payload []byte
+	dec     blockDecoder
 }
 
 // NewBinaryReader validates the magic and returns a streaming reader
@@ -462,7 +462,7 @@ func decodeMagic(br *bufio.Reader) (byte, *CorruptError) {
 
 // offset is the absolute position of the next undecoded byte.
 func (r *BinaryReader) offset() int64 {
-	return r.base + r.cr.n - int64(r.br.Buffered())
+	return r.cr.n - int64(r.br.Buffered())
 }
 
 // corruptErr builds a typed decode failure at the current offset and
@@ -475,14 +475,14 @@ func (r *BinaryReader) corruptErr(class CorruptClass, kind string, cause error) 
 // fatal makes the error sticky and settles the consumed-bytes counter.
 func (r *BinaryReader) fatal(e *CorruptError) error {
 	r.err = e
-	r.stats.BytesConsumed = r.offset() - r.base
+	r.stats.BytesConsumed = r.offset()
 	return e
 }
 
 // finishEOF marks the clean end of the stream.
 func (r *BinaryReader) finishEOF() {
 	r.err = io.EOF
-	r.stats.BytesConsumed = r.offset() - r.base
+	r.stats.BytesConsumed = r.offset()
 }
 
 // varintClass separates truncation from malformed-varint failures.
@@ -527,8 +527,10 @@ func (r *BinaryReader) Next() (Trace, error) {
 	return t, nil
 }
 
-// nextRecord decodes the next trace from a flat v2 record stream
-// (also the inside of a v3 block payload).
+// nextRecord decodes the next trace from a flat v2 record stream. v3/v4
+// block payloads hold the same records but decode in place through
+// decodeBlockPayload, which must stay error-for-error identical to this
+// reader.
 func (r *BinaryReader) nextRecord() (Trace, error) {
 	for {
 		kind, err := r.br.ReadByte()
@@ -633,7 +635,8 @@ type blockFrame struct {
 	times []int64
 }
 
-// readFrame reads the next v3 block frame, returning io.EOF at the
+// readFrame reads the next v3 block frame into buf's backing array (nil
+// allocates a payload the frame owns), returning io.EOF at the
 // clean end of the stream. In permissive mode, frames whose headers are
 // self-inconsistent (traceCount impossible for the payload size) or
 // whose payloads are truncated are counted, skipped, and the next frame
@@ -641,7 +644,7 @@ type blockFrame struct {
 // Corruption that destroys the framing itself (bad kind byte, malformed
 // or oversized length varints) is fatal in either mode: without an
 // intact length prefix there is no next frame to find.
-func (r *BinaryReader) readFrame() (blockFrame, error) {
+func (r *BinaryReader) readFrame(buf []byte) (blockFrame, error) {
 	for {
 		kind, err := r.br.ReadByte()
 		if err == io.EOF {
@@ -729,7 +732,10 @@ func (r *BinaryReader) readFrame() (blockFrame, error) {
 			}
 		}
 		off := r.offset()
-		payload := make([]byte, plen)
+		if uint64(cap(buf)) < plen {
+			buf = make([]byte, plen)
+		}
+		payload := buf[:plen]
 		if _, err := io.ReadFull(r.br, payload); err != nil {
 			e := r.corruptErr(CorruptTruncated, "block", noEOF(err))
 			if !r.opt.Permissive {
@@ -798,11 +804,13 @@ func decodeTimestampColumn(buf []byte, base int64, blockIdx, count int) ([]int64
 // self-contained, so dropping one loses only its own traces) and fatal
 // otherwise.
 func (r *BinaryReader) fillBlock() error {
-	fr, err := r.readFrame()
+	fr, err := r.readFrame(r.payload)
 	if err != nil {
 		return err
 	}
-	traces, derr := decodeBlockPayload(fr.payload, fr.off, fr.idx, fr.count)
+	r.payload = fr.payload
+	clear(r.pending)
+	traces, derr := r.dec.decodeBlockPayload(r.pending, fr.payload, fr.off, fr.idx, fr.count)
 	if derr == nil && len(traces) != fr.count {
 		derr = &CorruptError{Offset: fr.off, Block: fr.idx, Kind: "block", Class: CorruptCountMismatch,
 			Cause: fmt.Errorf("header claims %d traces, payload holds %d", fr.count, len(traces))}
@@ -812,7 +820,7 @@ func (r *BinaryReader) fillBlock() error {
 		if r.opt.Permissive {
 			r.stats.BlocksSkipped++
 			r.stats.TracesDropped += int64(fr.count)
-			r.pending, r.pendIdx = nil, 0
+			r.pending, r.pendIdx = r.pending[:0], 0
 			return nil
 		}
 		return r.fatal(derr)
@@ -909,8 +917,9 @@ func ReadBinaryParallelOpts(r io.Reader, workers int, opt DecodeOptions) (*Datas
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var dec blockDecoder
 			for b := range jobs {
-				b.traces, b.err = decodeBlockPayload(b.frame.payload, b.frame.off, b.frame.idx, b.frame.count)
+				b.traces, b.err = dec.decodeBlockPayload(nil, b.frame.payload, b.frame.off, b.frame.idx, b.frame.count)
 				if b.err == nil && len(b.traces) != b.frame.count {
 					b.err = &CorruptError{Offset: b.frame.off, Block: b.frame.idx, Kind: "block",
 						Class: CorruptCountMismatch,
@@ -927,7 +936,7 @@ func ReadBinaryParallelOpts(r io.Reader, workers int, opt DecodeOptions) (*Datas
 	var blocks []*block
 	var frameErr error
 	for {
-		fr, err := rd.readFrame()
+		fr, err := rd.readFrame(nil)
 		if err == io.EOF {
 			break
 		}
@@ -976,32 +985,180 @@ func ReadBinaryParallelOpts(r io.Reader, workers int, opt DecodeOptions) (*Datas
 	return d, nil
 }
 
-// decodeBlockPayload decodes one self-contained v3 block payload with a
-// nested strict reader; base and blockIdx locate its errors in the
-// outer stream. It does not touch shared decode stats — callers settle
-// outcomes — so block decodes can run concurrently.
-func decodeBlockPayload(payload []byte, base int64, blockIdx, count int) ([]Trace, *CorruptError) {
-	cr := &countReader{r: bytes.NewReader(payload)}
-	rd := &BinaryReader{
-		br:       bufio.NewReaderSize(cr, max(16, min(len(payload), 1<<16))),
-		cr:       cr,
-		base:     base,
-		version:  2,
-		stats:    DecodeOptions{}.sink(),
-		blockIdx: blockIdx,
+// decodeBlockPayload decodes one self-contained v3/v4 block payload into
+// dst[:0] and returns the traces; base and blockIdx locate its errors in
+// the outer stream, and count (the frame's trace count) only sizes dst.
+// It does not touch shared decode stats — callers settle outcomes — so
+// block decodes can run concurrently, one blockDecoder per goroutine.
+//
+// The payload is a v2 record stream, walked in place with a cursor: the
+// cursor consumes exactly the bytes the flat v2 reader's
+// binary.ReadUvarint, ReadByte and io.ReadFull calls would, so every
+// *CorruptError (class, kind, block, offset and message) equals the one a
+// BinaryReader over the same record stream reports. The hops of every
+// trace in the block share one exactly sized slab, and each trace's Hops
+// is carved from it with cap == len, so appending to one trace's hops
+// reallocates instead of overwriting the next trace's.
+func (d *blockDecoder) decodeBlockPayload(dst []Trace, payload []byte, base int64, blockIdx, count int) ([]Trace, *CorruptError) {
+	c := payloadCursor{buf: payload, base: base, blockIdx: blockIdx}
+	if n := min(count, maxTraceCapHint); cap(dst) < n {
+		dst = make([]Trace, 0, n)
 	}
-	out := make([]Trace, 0, min(count, maxTraceCapHint))
-	for {
-		t, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			if ce, ok := err.(*CorruptError); ok {
-				return nil, ce
+	dst = dst[:0]
+	d.hops, d.hopCounts, d.monitors = d.hops[:0], d.hopCounts[:0], d.monitors[:0]
+	for c.pos < len(c.buf) {
+		kind := c.buf[c.pos]
+		c.pos++
+		switch kind {
+		case 0:
+			mlen, err := c.uvarint()
+			if err != nil {
+				return nil, c.fail(varintClass(err), "monitor", err)
 			}
-			return nil, &CorruptError{Offset: base, Block: blockIdx, Kind: "block", Cause: err}
+			if mlen > maxMonitorNameLen {
+				return nil, c.fail(CorruptOversizedLen, "monitor",
+					fmt.Errorf("monitor name length %d exceeds %d", mlen, maxMonitorNameLen))
+			}
+			name, ok := c.take(mlen)
+			if !ok {
+				return nil, c.fail(CorruptTruncated, "monitor", io.ErrUnexpectedEOF)
+			}
+			d.monitors = append(d.monitors, string(name))
+		case 1:
+			t, cerr := d.traceRecord(&c)
+			if cerr != nil {
+				return nil, cerr
+			}
+			dst = append(dst, t)
+		default:
+			return nil, c.fail(CorruptBadKind, "trace", fmt.Errorf("unknown record kind %d", kind))
 		}
-		out = append(out, t)
 	}
+	slab := make([]Hop, len(d.hops))
+	copy(slab, d.hops)
+	for i, n := range d.hopCounts {
+		dst[i].Hops = slab[:n:n]
+		slab = slab[n:]
+	}
+	return dst, nil
 }
+
+// traceRecord decodes a trace record body (after its kind byte). Its
+// hops go to the decoder's scratch; decodeBlockPayload carves Hops once
+// the block is complete.
+func (d *blockDecoder) traceRecord(c *payloadCursor) (Trace, *CorruptError) {
+	id, err := c.uvarint()
+	if err != nil {
+		return Trace{}, c.fail(varintClass(err), "trace", err)
+	}
+	if id >= uint64(len(d.monitors)) {
+		return Trace{}, c.fail(CorruptBadMonitorID, "trace",
+			fmt.Errorf("monitor id %d with %d defined", id, len(d.monitors)))
+	}
+	a4, ok := c.take(4)
+	if !ok {
+		return Trace{}, c.fail(CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+	}
+	t := Trace{Monitor: d.monitors[id], Dst: inet.Addr(binary.BigEndian.Uint32(a4))}
+	hops, err := c.uvarint()
+	if err != nil {
+		return Trace{}, c.fail(varintClass(err), "trace", err)
+	}
+	if hops > maxHopCount {
+		return Trace{}, c.fail(CorruptOversizedLen, "trace",
+			fmt.Errorf("hop count %d exceeds %d", hops, maxHopCount))
+	}
+	for i := uint64(0); i < hops; i++ {
+		if c.pos == len(c.buf) {
+			return Trace{}, c.fail(CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+		}
+		flag := c.buf[c.pos]
+		c.pos++
+		h := Hop{QuotedTTL: 1}
+		if flag&0x01 != 0 {
+			a4, ok := c.take(4)
+			if !ok {
+				return Trace{}, c.fail(CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+			}
+			h.Addr = inet.Addr(binary.BigEndian.Uint32(a4))
+		}
+		if flag&0x02 != 0 {
+			if c.pos == len(c.buf) {
+				return Trace{}, c.fail(CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+			}
+			h.QuotedTTL = int8(c.buf[c.pos])
+			c.pos++
+		}
+		d.hops = append(d.hops, h)
+	}
+	d.hopCounts = append(d.hopCounts, int(hops))
+	return t, nil
+}
+
+// blockDecoder holds the scratch one goroutine reuses across block
+// decodes, so a block costs two allocations (its trace slice and its hop
+// slab) plus one string per monitor definition.
+type blockDecoder struct {
+	hops      []Hop
+	hopCounts []int
+	monitors  []string
+}
+
+// payloadCursor walks a block payload in place.
+type payloadCursor struct {
+	buf      []byte
+	pos      int
+	base     int64
+	blockIdx int
+}
+
+// fail builds a typed decode failure at the cursor.
+func (c *payloadCursor) fail(class CorruptClass, kind string, cause error) *CorruptError {
+	return &CorruptError{Offset: c.base + int64(c.pos), Block: c.blockIdx, Kind: kind, Class: class, Cause: cause}
+}
+
+// take consumes the next n bytes. When fewer remain it consumes them all
+// and reports false, as io.ReadFull does.
+func (c *payloadCursor) take(n uint64) ([]byte, bool) {
+	if uint64(len(c.buf)-c.pos) < n {
+		c.pos = len(c.buf)
+		return nil, false
+	}
+	b := c.buf[c.pos : c.pos+int(n)]
+	c.pos += int(n)
+	return b, true
+}
+
+// uvarint is binary.ReadUvarint over the cursor: it consumes the same
+// bytes and returns the same errors — io.EOF before the first byte,
+// io.ErrUnexpectedEOF after it, and binary's overflow error.
+func (c *payloadCursor) uvarint() (uint64, error) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if c.pos == len(c.buf) {
+			if i > 0 {
+				return x, io.ErrUnexpectedEOF
+			}
+			return x, io.EOF
+		}
+		b := c.buf[c.pos]
+		c.pos++
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return x, errVarintOverflow
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return x, errVarintOverflow
+}
+
+// errVarintOverflow is the error binary.ReadUvarint returns for a varint
+// longer than 64 bits; payloadCursor.uvarint returns the same value.
+var errVarintOverflow = func() error {
+	_, err := binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)))
+	return err
+}()

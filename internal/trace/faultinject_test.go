@@ -24,7 +24,7 @@ type faultCorpus struct {
 	d    *Dataset
 }
 
-func buildFaultCorpora(t *testing.T) []faultCorpus {
+func buildFaultCorpora(t testing.TB) []faultCorpus {
 	t.Helper()
 	d := genDataset(150)
 	var v2, v3, v4 bytes.Buffer
@@ -68,7 +68,7 @@ type frameInfo struct {
 
 // walkFrames parses the frame boundaries of a valid v3/v4 stream
 // (version sniffed from the magic).
-func walkFrames(t *testing.T, raw []byte) []frameInfo {
+func walkFrames(t testing.TB, raw []byte) []frameInfo {
 	t.Helper()
 	version := raw[4]
 	var frames []frameInfo
@@ -247,7 +247,7 @@ func TestFaultInjectionPermissiveSkip(t *testing.T) {
 	// Traces of each block, decoded from the pristine stream.
 	perBlock := make([][]Trace, len(frames))
 	for i, f := range frames {
-		traces, cerr := decodeBlockPayload(raw[f.payloadOff:f.payloadOff+f.payloadLen], int64(f.payloadOff), i, f.count)
+		traces, cerr := new(blockDecoder).decodeBlockPayload(nil, raw[f.payloadOff:f.payloadOff+f.payloadLen], int64(f.payloadOff), i, f.count)
 		if cerr != nil {
 			t.Fatal(cerr)
 		}
@@ -333,7 +333,7 @@ func TestFaultInjectionTruncatedTail(t *testing.T) {
 
 	var want Dataset
 	for _, f := range frames[:len(frames)-1] {
-		traces, cerr := decodeBlockPayload(raw[f.payloadOff:f.payloadOff+f.payloadLen], 0, 0, f.count)
+		traces, cerr := new(blockDecoder).decodeBlockPayload(nil, raw[f.payloadOff:f.payloadOff+f.payloadLen], 0, 0, f.count)
 		if cerr != nil {
 			t.Fatal(cerr)
 		}
@@ -481,7 +481,7 @@ func TestFaultInjectionCountMismatch(t *testing.T) {
 			if i == 0 {
 				continue
 			}
-			traces, cerr := decodeBlockPayload(raw[f.payloadOff:f.payloadOff+f.payloadLen], 0, 0, f.count)
+			traces, cerr := new(blockDecoder).decodeBlockPayload(nil, raw[f.payloadOff:f.payloadOff+f.payloadLen], 0, 0, f.count)
 			if cerr != nil {
 				t.Fatal(cerr)
 			}

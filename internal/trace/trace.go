@@ -114,7 +114,42 @@ func Sanitize(t Trace) (Trace, SanitizeResult) {
 // al.). Immediate repeats (the same address at consecutive responding
 // positions) are not cycles — they are the NAT/rate-limit signature the
 // stub heuristic relies on.
+//
+// Traces of up to cycleStackLen responders are checked without
+// allocating: the responders sit in a stack array and each new one scans
+// it backwards for its latest sighting, at most 2016 comparisons. Longer
+// traces fall back to a map, which keeps the 1024-hop cap linear.
 func HasCycle(t Trace) bool {
+	var seen [cycleStackLen]inet.Addr
+	n := 0
+	for _, h := range t.Hops {
+		if !h.Responded() {
+			continue
+		}
+		if n == len(seen) {
+			return hasCycleMap(t)
+		}
+		for j := n - 1; j >= 0; j-- {
+			if seen[j] == h.Addr {
+				if n-j > 1 {
+					return true
+				}
+				break
+			}
+		}
+		seen[n] = h.Addr
+		n++
+	}
+	return false
+}
+
+// cycleStackLen is the responder count up to which HasCycle scans a
+// stack array instead of building a map.
+const cycleStackLen = 64
+
+// hasCycleMap is HasCycle for traces with more than cycleStackLen
+// responders: one map from address to its latest responding position.
+func hasCycleMap(t Trace) bool {
 	lastSeen := make(map[inet.Addr]int, len(t.Hops))
 	// respIdx numbers only the responding hops so that null hops do not
 	// count as separators (an unresponsive router between two sightings
