@@ -19,6 +19,7 @@ import (
 
 	"mapit"
 	"mapit/internal/baseline"
+	"mapit/internal/core"
 	"mapit/internal/eval"
 	"mapit/internal/inet"
 	"mapit/internal/iptrie"
@@ -228,7 +229,7 @@ func BenchmarkInferSmall(b *testing.B) {
 	cfg := mapit.Config{IP2AS: w.Table(), Orgs: w.Orgs, Rels: w.Rels, IXP: w.Directory, F: 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mapit.InferSanitized(s, cfg); err != nil {
+		if _, err := core.Run(s, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,7 +313,7 @@ func BenchmarkIngestCompiled(b *testing.B) {
 	cfg := e.Config(0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mapit.InferSanitized(e.Sanitized, cfg); err != nil {
+		if _, err := e.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +328,7 @@ func BenchmarkIngestTrie(b *testing.B) {
 	cfg.IP2AS = lookupOnlyTable{t: e.World.Table()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mapit.InferSanitized(e.Sanitized, cfg); err != nil {
+		if _, err := e.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,44 +393,6 @@ func BenchmarkCollectorParallel(b *testing.B) {
 				}
 				if ev := c.Evidence(); len(ev.Adjacencies) == 0 {
 					b.Fatal("no evidence")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSanitizeParallel measures chunked §4.1 sanitisation of the
-// full corpus across worker counts (workers=1 is the serial path).
-func BenchmarkSanitizeParallel(b *testing.B) {
-	e := benchEnv(b)
-	for _, w := range ingestWorkerSweep {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(e.Dataset.Traces)))
-			for i := 0; i < b.N; i++ {
-				if s := e.Dataset.SanitizeParallel(w); s.Stats.TotalTraces == 0 {
-					b.Fatal("empty dataset")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBinaryDecodeParallel measures block-format (v3) binary decode
-// across worker counts.
-func BenchmarkBinaryDecodeParallel(b *testing.B) {
-	e := benchEnv(b)
-	var buf bytes.Buffer
-	if err := mapit.WriteTracesBinaryBlocks(&buf, e.Dataset, 0); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, w := range ingestWorkerSweep {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				back, err := mapit.ReadTracesBinaryParallel(bytes.NewReader(data), w)
-				if err != nil || len(back.Traces) != len(e.Dataset.Traces) {
-					b.Fatal(err)
 				}
 			}
 		})

@@ -10,15 +10,25 @@ import (
 )
 
 // TestGenerateRoundTrip is the end-to-end smoke test for the command:
-// generate a small dataset in every trace format, parse every emitted
-// file back through the same readers cmd/mapit uses, and run an audited
+// generate a small dataset in every trace format — binary both untimed
+// (MTRC v3) and with -timestamps (MTRC v4) — parse every emitted file
+// back through the one sniffing ReadTracesFile, and run an audited
 // inference over the result.
 func TestGenerateRoundTrip(t *testing.T) {
-	for _, format := range []string{"text", "json", "binary"} {
-		t.Run(format, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, format string
+		timestamps   bool
+	}{
+		{"text", "text", false},
+		{"json", "json", false},
+		{"binary", "binary", false},
+		{"binary-timestamps", "binary", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			w, n, err := generate(genOpts{
-				out: dir, seed: 3, small: true, dests: 120, format: format,
+				out: dir, seed: 3, small: true, dests: 120, format: tc.format,
+				timestamps: tc.timestamps, timeBase: 1_700_000_000, timeStep: 10, timeJitter: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -29,7 +39,7 @@ func TestGenerateRoundTrip(t *testing.T) {
 
 			traceFile := map[string]string{
 				"text": "traces.txt", "json": "traces.jsonl", "binary": "traces.bin",
-			}[format]
+			}[tc.format]
 			for _, name := range []string{traceFile, "rib.txt", "orgs.txt", "rels.txt", "ixp.txt", "truth.tsv"} {
 				fi, err := os.Stat(filepath.Join(dir, name))
 				if err != nil {
@@ -40,25 +50,15 @@ func TestGenerateRoundTrip(t *testing.T) {
 				}
 			}
 
-			f, err := os.Open(filepath.Join(dir, traceFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			var parsed *mapit.Dataset
-			switch format {
-			case "text":
-				parsed, err = mapit.ReadTraces(f)
-			case "json":
-				parsed, err = mapit.ReadTracesJSON(f)
-			case "binary":
-				parsed, err = mapit.ReadTracesBinary(f)
-			}
+			parsed, err := mapit.ReadTracesFile(filepath.Join(dir, traceFile))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if int64(len(parsed.Traces)) != n {
 				t.Fatalf("round-trip lost traces: wrote %d, read %d", n, len(parsed.Traces))
+			}
+			if tc.timestamps && parsed.Traces[0].Time < 1_700_000_000 {
+				t.Fatalf("timestamped corpus read back untimed (first time %d)", parsed.Traces[0].Time)
 			}
 
 			table, err := mapit.ReadRIBFile(filepath.Join(dir, "rib.txt"))
@@ -144,12 +144,7 @@ func TestGenerateBinaryStreamsSameTraces(t *testing.T) {
 	if _, _, err := generate(genOpts{out: dir, seed: 3, small: true, dests: 120, format: "binary"}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(dir, "traces.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := mapit.ReadTracesBinary(f)
+	got, err := mapit.ReadTracesFile(filepath.Join(dir, "traces.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +211,7 @@ func TestGenerateTimestamped(t *testing.T) {
 	if string(b1[:5]) != "MTRC\x04" {
 		t.Fatalf("timestamped binary corpus is not MTRC v4 (magic %q)", b1[:5])
 	}
-	ds, err := mapit.ReadTracesBinary(bytes.NewReader(b1))
+	ds, err := mapit.ReadTraces(bytes.NewReader(b1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +229,7 @@ func TestGenerateTimestamped(t *testing.T) {
 
 	jd := t.TempDir()
 	run(jd, "json")
-	jf, err := os.Open(filepath.Join(jd, "traces.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jf.Close()
-	jds, err := mapit.ReadTracesJSON(jf)
+	jds, err := mapit.ReadTracesFile(filepath.Join(jd, "traces.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package meta
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
@@ -38,9 +39,9 @@ func equalEvidence(label string, a, b *core.Evidence) error {
 }
 
 // DiffIngest runs the three ingest paths — streaming serial collector,
-// sharded parallel collector, and batch sanitise-then-distil — over the
-// same raw traces and requires identical evidence and identical
-// downstream Results.
+// sharded parallel collector, and serial batch sanitise-then-distil —
+// over the same raw traces and requires identical evidence and
+// identical downstream Results.
 func DiffIngest(pl *Pipeline) error {
 	d := pl.Env.Dataset
 
@@ -56,7 +57,7 @@ func DiffIngest(pl *Pipeline) error {
 	}
 	evPar := par.Evidence()
 
-	evBatch := core.EvidenceFrom(d.SanitizeParallel(4))
+	evBatch := core.EvidenceFrom(d.Sanitize())
 
 	if err := equalEvidence("serial vs parallel collector", evSerial, evPar); err != nil {
 		return err
@@ -124,48 +125,34 @@ func DiffSpill(pl *Pipeline) error {
 		{"random-run-entries", core.SpillConfig{Dir: dir, RunEntries: 1 + rng.Intn(64)}, true},
 		{"random-budget", core.SpillConfig{Dir: dir, MemBudget: 1 << (10 + rng.Intn(11))}, false},
 	}
-	workerCounts := []int{0, 1, 2 + rng.Intn(6)} // 0 = serial collector
+	workerCounts := []int{1, 2 + rng.Intn(6)}
 
 	for _, tc := range configs {
 		for _, workers := range workerCounts {
 			label := fmt.Sprintf("spill %s workers=%d", tc.label, workers)
-			var (
-				add    func(trace.Trace)
-				finish func() (*core.Evidence, error)
-				stats  func() core.SpillStats
-				close  func() error
-			)
-			if workers == 0 {
-				c := core.NewCollectorSpill(tc.spill)
-				add = func(t trace.Trace) { c.Add(t) }
-				finish, stats, close = c.Finish, c.SpillStats, c.Close
-			} else {
-				c := core.NewParallelCollectorSpill(workers, tc.spill)
-				add = func(t trace.Trace) { c.Add(t) }
-				finish, stats, close = c.Finish, c.SpillStats, c.Close
-			}
+			c := core.NewParallelCollectorSpill(workers, tc.spill)
 			for _, tr := range d.Traces {
-				add(tr)
+				c.Add(tr)
 			}
-			ev, err := finish()
+			ev, err := c.Finish()
 			if err != nil {
-				close()
+				c.Close()
 				return fmt.Errorf("%s: %w", label, err)
 			}
-			if tc.mustSpill && stats().SpilledEntries == 0 {
-				close()
+			if tc.mustSpill && c.SpillStats().SpilledEntries == 0 {
+				c.Close()
 				return fmt.Errorf("%s: configuration spilled nothing — oracle is vacuous", label)
 			}
 			if err := equalEvidence(label, evMem, ev); err != nil {
-				close()
+				c.Close()
 				return err
 			}
 			r, err := core.RunEvidence(ev, pl.Config())
 			if err != nil {
-				close()
+				c.Close()
 				return err
 			}
-			if err := close(); err != nil {
+			if err := c.Close(); err != nil {
 				return fmt.Errorf("%s: close: %w", label, err)
 			}
 			if err := EqualResults(base, r); err != nil {
@@ -257,10 +244,13 @@ func DiffLPM(pl *Pipeline) error {
 	return nil
 }
 
-// DiffBinaryRoundTrip serialises the dataset through both binary
-// layouts (monolithic v2 stream and blocked v3), reads each back
-// serially and in parallel, and requires the decoded datasets and
-// their downstream Results to match the in-memory original exactly.
+// DiffBinaryRoundTrip serialises the dataset through every binary
+// layout — monolithic v2, blocked v3, and blocked v4 carrying nonzero
+// timestamps — and reads each back twice: through the one-shot
+// trace.ReadBinary and through core.DecodeTraces, the sniffing decode
+// loop under the Ingestor and the window replay. Every decoded dataset
+// must equal what was written, timestamps included, and drive a Result
+// identical to the baseline.
 func DiffBinaryRoundTrip(pl *Pipeline) error {
 	d := pl.Env.Dataset
 	base, err := pl.Baseline()
@@ -268,37 +258,52 @@ func DiffBinaryRoundTrip(pl *Pipeline) error {
 		return err
 	}
 
-	var mono, blocked bytes.Buffer
-	if err := trace.WriteBinary(&mono, d); err != nil {
-		return fmt.Errorf("write monolithic: %w", err)
+	// v4 requires non-decreasing times; repeats exercise zero deltas.
+	timed := &trace.Dataset{Traces: slices.Clone(d.Traces)}
+	for i := range timed.Traces {
+		timed.Traces[i].Time = 1_700_000_000 + int64(i/3)*17
 	}
-	if err := trace.WriteBinaryBlocks(&blocked, d, 64); err != nil {
-		return fmt.Errorf("write blocked: %w", err)
+	encodings := []struct {
+		label string
+		want  *trace.Dataset
+		write func(io.Writer, *trace.Dataset) error
+	}{
+		{"v2", d, trace.WriteBinary},
+		{"v3", d, func(w io.Writer, d *trace.Dataset) error { return trace.WriteBinaryBlocks(w, d, 64) }},
+		{"v4", timed, func(w io.Writer, d *trace.Dataset) error { return trace.WriteBinaryBlocksV4(w, d, 64) }},
 	}
-
-	decoded := map[string]*trace.Dataset{}
-	if decoded["monolithic/serial"], err = trace.ReadBinary(bytes.NewReader(mono.Bytes())); err != nil {
-		return fmt.Errorf("read monolithic: %w", err)
-	}
-	if decoded["blocked/serial"], err = trace.ReadBinary(bytes.NewReader(blocked.Bytes())); err != nil {
-		return fmt.Errorf("read blocked: %w", err)
-	}
-	if decoded["blocked/parallel"], err = trace.ReadBinaryParallel(bytes.NewReader(blocked.Bytes()), 4); err != nil {
-		return fmt.Errorf("read blocked parallel: %w", err)
-	}
-
-	for _, label := range []string{"monolithic/serial", "blocked/serial", "blocked/parallel"} {
-		rd := decoded[label]
-		if !reflect.DeepEqual(rd.Traces, d.Traces) {
-			return fmt.Errorf("%s: decoded dataset diverges from original (%d vs %d traces)",
-				label, len(rd.Traces), len(d.Traces))
+	for _, enc := range encodings {
+		var buf bytes.Buffer
+		if err := enc.write(&buf, enc.want); err != nil {
+			return fmt.Errorf("write %s: %w", enc.label, err)
 		}
-		r, err := core.Run(rd.Sanitize(), pl.Config())
+		serial, err := trace.ReadBinary(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			return err
+			return fmt.Errorf("read %s: %w", enc.label, err)
 		}
-		if err := EqualResults(base, r); err != nil {
-			return fmt.Errorf("%s: %w", label, err)
+		decoded := &trace.Dataset{}
+		if _, err := core.DecodeTraces(bytes.NewReader(buf.Bytes()), trace.DecodeOptions{}, func(t trace.Trace) error {
+			decoded.Traces = append(decoded.Traces, t)
+			return nil
+		}); err != nil {
+			return fmt.Errorf("decode %s: %w", enc.label, err)
+		}
+
+		for _, row := range []struct {
+			label string
+			ds    *trace.Dataset
+		}{{enc.label + "/serial", serial}, {enc.label + "/decode", decoded}} {
+			if !reflect.DeepEqual(row.ds.Traces, enc.want.Traces) {
+				return fmt.Errorf("%s: decoded dataset diverges from original (%d vs %d traces)",
+					row.label, len(row.ds.Traces), len(enc.want.Traces))
+			}
+			r, err := core.Run(row.ds.Sanitize(), pl.Config())
+			if err != nil {
+				return err
+			}
+			if err := EqualResults(base, r); err != nil {
+				return fmt.Errorf("%s: %w", row.label, err)
+			}
 		}
 	}
 	return nil

@@ -25,7 +25,7 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 	ds := w.GenTraces(tc)
 	orgs, rels, dir := w.PublicInputs(topo.DefaultNoiseConfig())
 
-	// Ingest: serial collector vs sharded collector vs parallel sanitise.
+	// Ingest: serial collector vs sharded collector vs batch sanitise.
 	serial := NewCollector()
 	for _, tr := range ds.Traces {
 		serial.Add(tr)
@@ -46,13 +46,8 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(evS.AllAddrs, evP.AllAddrs) {
 		t.Fatal("sharded collector address set diverges")
 	}
-	sanP := ds.SanitizeParallel(8)
-	if sanS := ds.Sanitize(); !reflect.DeepEqual(sanS.Retained, sanP.Retained) ||
-		sanS.Stats != sanP.Stats {
-		t.Fatal("parallel sanitise diverges from serial")
-	}
-	if evSan := EvidenceFrom(sanP); !reflect.DeepEqual(evS.Adjacencies, evSan.Adjacencies) {
-		t.Fatal("evidence from parallel sanitise diverges from streaming evidence")
+	if evSan := EvidenceFrom(ds.Sanitize()); !reflect.DeepEqual(evS.Adjacencies, evSan.Adjacencies) {
+		t.Fatal("evidence from batch sanitise diverges from streaming evidence")
 	}
 
 	// State build + algorithm: per-iteration state hashes must agree.

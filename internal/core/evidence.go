@@ -86,11 +86,9 @@ func EvidenceFrom(s *trace.Sanitized) *Evidence {
 }
 
 // Collector accumulates Evidence incrementally: feed it traces one at a
-// time (Add sanitises per §4.1) and it never retains them. Use it to
-// stream arbitrarily large corpora from disk. With a SpillConfig (see
-// NewCollectorSpill) the dedup structures spill to columnar disk
-// segments under a memory budget and Finish merges them back —
-// byte-identical to the in-memory result.
+// time (Add sanitises per §4.1) and it never retains them. It is the
+// serial in-memory reference the ParallelCollector — the production
+// ingest path, and the only one that spills — is checked against.
 type Collector struct {
 	allAddrs      inet.AddrSet
 	retainedAddrs inet.AddrSet
@@ -103,13 +101,8 @@ type Collector struct {
 	sortScratch []trace.Adjacency
 
 	// monitors is the opt-in per-vantage-point attribution (see
-	// TrackMonitors); nil when tracking is off. Attribution never
-	// spills: it is bounded by monitors × their unique adjacencies and
-	// exists to feed a query index, not the algorithm.
+	// TrackMonitors); nil when tracking is off.
 	monitors map[string]*monitorAcc
-
-	// spill is non-nil when out-of-core mode is enabled.
-	spill *spiller
 }
 
 // NewCollector returns an empty in-memory collector.
@@ -121,23 +114,9 @@ func NewCollector() *Collector {
 	}
 }
 
-// NewCollectorSpill returns a collector that keeps its resident dedup
-// state under cfg's budget by spilling sorted columnar runs to disk
-// (DESIGN.md §11). Finish (or Evidence) merges the runs back with
-// bounded memory; Close removes the spill files. A disabled cfg (zero
-// value) yields a plain in-memory collector.
-func NewCollectorSpill(cfg SpillConfig) *Collector {
-	c := NewCollector()
-	if cfg.enabled() {
-		c.spill = newSpiller(newSpillSink(cfg))
-	}
-	return c
-}
-
 // TrackMonitors enables per-monitor evidence attribution: finalised
 // evidence carries Evidence.Monitors, the sorted per-vantage-point view
-// the snapshot query index is built from. Call it before the first Add;
-// attribution stays in memory even on a spilling collector.
+// the snapshot query index is built from. Call it before the first Add.
 func (c *Collector) TrackMonitors() {
 	if c.monitors == nil {
 		c.monitors = make(map[string]*monitorAcc)
@@ -171,47 +150,7 @@ func (c *Collector) Add(t trace.Trace) bool {
 			c.retainedAddrs.Add(h.Addr)
 		}
 	}
-	c.maybeSpill()
 	return true
-}
-
-// maybeSpill flushes dedup structures to disk when the configured
-// budget is crossed. Flushed structures restart empty (fresh maps, so
-// the buckets are actually released); anything unflushed — including
-// after a write failure — stays in memory and correctness is
-// unaffected.
-func (c *Collector) maybeSpill() {
-	sp := c.spill
-	if sp == nil {
-		return
-	}
-	cfg := sp.sink.cfg
-	if n := cfg.RunEntries; n > 0 {
-		if len(c.adjacencies) >= n && sp.flushAdjSet(c.adjacencies) {
-			c.adjacencies = make(map[trace.Adjacency]struct{})
-		}
-		if len(c.allAddrs) >= n && sp.flushAddrSet(c.allAddrs, streamAll) {
-			c.allAddrs = make(inet.AddrSet)
-		}
-		if len(c.retainedAddrs) >= n && sp.flushAddrSet(c.retainedAddrs, streamRet) {
-			c.retainedAddrs = make(inet.AddrSet)
-		}
-		return
-	}
-	est := int64(len(c.adjacencies))*adjEntryCost +
-		int64(len(c.allAddrs)+len(c.retainedAddrs))*addrEntryCost
-	if est <= cfg.MemBudget {
-		return
-	}
-	if sp.flushAdjSet(c.adjacencies) {
-		c.adjacencies = make(map[trace.Adjacency]struct{})
-	}
-	if sp.flushAddrSet(c.allAddrs, streamAll) {
-		c.allAddrs = make(inet.AddrSet)
-	}
-	if sp.flushAddrSet(c.retainedAddrs, streamRet) {
-		c.retainedAddrs = make(inet.AddrSet)
-	}
 }
 
 // addSanitized ingests an already-sanitised dataset without re-running
@@ -243,67 +182,9 @@ func (c *Collector) Traces() int { return c.stats.TotalTraces }
 // Evidence finalises the collector. The collector remains usable; the
 // returned adjacency slice is sorted for determinism, and the address
 // set is a snapshot copy so later Adds cannot mutate returned evidence.
-// On a spilling collector prefer Finish — Evidence panics if the
-// external merge fails (the in-memory path cannot fail).
+// The key extraction and sort run in a scratch buffer reused across
+// calls; the returned slice is a fresh exact-size copy.
 func (c *Collector) Evidence() *Evidence {
-	ev, err := c.Finish()
-	if err != nil {
-		panic("core: spill merge failed: " + err.Error())
-	}
-	return ev
-}
-
-// Finish finalises the collector, merging any spilled runs with the
-// in-memory residue. The collector remains usable afterwards (spilled
-// runs stay on disk and rejoin later merges); the returned evidence
-// shares no storage with the collector. Errors are only possible in
-// out-of-core mode: a spill write that failed during ingest, or an
-// unreadable/corrupt segment at merge time.
-func (c *Collector) Finish() (*Evidence, error) {
-	if c.spill == nil || !c.spill.sink.spilled() {
-		if c.spill != nil {
-			if err := c.spill.sink.failed(); err != nil {
-				return nil, err
-			}
-		}
-		return c.evidenceInMemory(), nil
-	}
-	adjRes := c.sortedAdjResidue()
-	ev, err := c.spill.sink.mergeEvidence(
-		[][]trace.Adjacency{adjRes},
-		[][]inet.Addr{sortedAddrs(c.allAddrs)},
-		[][]inet.Addr{sortedAddrs(c.retainedAddrs)},
-		c.stats)
-	if err != nil {
-		return nil, err
-	}
-	ev.Monitors = monitorEvidence(c.monitors)
-	return ev, nil
-}
-
-// SpillStats snapshots the out-of-core counters; zero for an in-memory
-// collector.
-func (c *Collector) SpillStats() SpillStats {
-	if c.spill == nil {
-		return SpillStats{}
-	}
-	return c.spill.sink.Stats()
-}
-
-// Close releases the collector's spill files. Only needed in
-// out-of-core mode; the collector must not be used afterwards.
-func (c *Collector) Close() error {
-	if c.spill == nil {
-		return nil
-	}
-	return c.spill.sink.close()
-}
-
-// evidenceInMemory is the spill-free finalisation. The key extraction
-// and sort run in a scratch buffer reused across calls; the returned
-// slice is a fresh exact-size copy, preserving the no-aliasing
-// contract.
-func (c *Collector) evidenceInMemory() *Evidence {
 	c.sortScratch = c.sortScratch[:0]
 	for adj := range c.adjacencies {
 		c.sortScratch = append(c.sortScratch, adj)
@@ -320,17 +201,6 @@ func (c *Collector) evidenceInMemory() *Evidence {
 		Stats:       stats,
 		Monitors:    monitorEvidence(c.monitors),
 	}
-}
-
-// sortedAdjResidue snapshots the in-memory adjacency residue as a
-// sorted slice for the external merge, through the reused scratch.
-func (c *Collector) sortedAdjResidue() []trace.Adjacency {
-	c.sortScratch = c.sortScratch[:0]
-	for adj := range c.adjacencies {
-		c.sortScratch = append(c.sortScratch, adj)
-	}
-	slices.SortFunc(c.sortScratch, adjacencyCmp)
-	return c.sortScratch
 }
 
 // adjacencyCmp orders adjacencies by (First, Second) — the canonical

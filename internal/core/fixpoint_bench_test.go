@@ -44,7 +44,7 @@ func benchFixpoint(b *testing.B, disableIncremental bool) {
 			cfg := Config{IP2AS: w.Table(), Orgs: orgs, Rels: rels, IXP: dir,
 				F: 0.5, Workers: runtime.GOMAXPROCS(0),
 				DisableIncremental: disableIncremental}
-			ev := EvidenceFrom(ds.SanitizeParallel(cfg.Workers))
+			ev := EvidenceFrom(ds.Sanitize())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

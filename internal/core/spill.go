@@ -11,10 +11,10 @@ import (
 	"mapit/internal/trace"
 )
 
-// Out-of-core evidence store (DESIGN.md §11). The collectors' dedup
-// structures — the adjacency set and the two address sets — are the
-// only ingest state that grows with corpus size. When a memory budget
-// is configured, a collector flushes each structure as a sorted,
+// Out-of-core evidence store (DESIGN.md §11). The ParallelCollector's
+// dedup structures — the adjacency shards and the address sets — are
+// the only ingest state that grows with corpus size. When a memory
+// budget is configured, each party flushes its structure as a sorted,
 // duplicate-free *run* into a columnar spill segment (trace.Segment*)
 // whenever its estimated resident cost crosses the budget, and
 // finalisation k-way merges the spilled runs with the in-memory residue
@@ -80,8 +80,8 @@ func (s SpillStats) String() string {
 
 // spillSink is the shared spill state of one collector: configuration,
 // the file registry, counters, and the sticky first error. Individual
-// segment files are written by exactly one party (the serial collector,
-// one shard owner, or one worker) without locking; only the registry,
+// segment files are written by exactly one party (one shard owner or
+// one worker) without locking; only the registry,
 // counters and error go through the mutex.
 type spillSink struct {
 	cfg SpillConfig
@@ -253,25 +253,11 @@ func (sp *spiller) flushAdjSet(set map[trace.Adjacency]struct{}) bool {
 	return true
 }
 
-// flushAddrSet writes the set as one sorted address run into the given
-// stream, reporting whether it was spilled.
-func (sp *spiller) flushAddrSet(set inet.AddrSet, stream int) bool {
-	if len(set) == 0 || sp.sink.failed() != nil {
-		return false
-	}
-	sp.addrScratch = sp.addrScratch[:0]
-	for a := range set {
-		sp.addrScratch = append(sp.addrScratch, a)
-	}
-	return sp.flushAddrScratch(stream)
-}
-
 // flushFlaggedAddrs writes a sanitise worker's flagged address map as
 // one sorted run per stream — the addresses flagged addrSeen to
-// streamAll, then those flagged addrRetained to streamRet — exactly the
-// runs flushAddrSet writes for the two sets the map stands for. It
-// reports whether the map may be discarded: every non-empty stream was
-// spilled.
+// streamAll, then those flagged addrRetained to streamRet — one run per
+// set the map stands for. It reports whether the map may be discarded:
+// every non-empty stream was spilled.
 func (sp *spiller) flushFlaggedAddrs(set map[inet.Addr]uint8) bool {
 	ok := true
 	for _, s := range [...]struct {

@@ -30,86 +30,78 @@ func equalSpillEvidence(t *testing.T, label string, want, got *Evidence) {
 	}
 }
 
-// TestCollectorSpillEquivalence: the serial spill path must be
-// byte-identical to the in-memory path for every threshold, including
-// degenerate ones that spill on nearly every Add.
-func TestCollectorSpillEquivalence(t *testing.T) {
-	traces := synthTraces(2500)
-	want := func() *Evidence {
-		c := NewCollector()
-		for _, tc := range traces {
-			c.Add(tc)
-		}
-		return c.Evidence()
-	}()
-
-	cases := []SpillConfig{
-		{RunEntries: 1},
-		{RunEntries: 7},
-		{RunEntries: 100},
-		{RunEntries: 5000},
-		{MemBudget: 1},
-		{MemBudget: 32 << 10},
-		{MemBudget: 1 << 20},
-		{MemBudget: 1 << 30}, // never spills
-	}
-	for _, cfg := range cases {
-		cfg.Dir = t.TempDir()
-		c := NewCollectorSpill(cfg)
-		for _, tc := range traces {
-			c.Add(tc)
-		}
-		got, err := c.Finish()
-		if err != nil {
-			t.Fatalf("cfg=%+v: Finish: %v", cfg, err)
-		}
-		equalSpillEvidence(t, fmt.Sprintf("budget=%d entries=%d", cfg.MemBudget, cfg.RunEntries), want, got)
-		if cfg.MemBudget == 1 && c.SpillStats().AdjRuns == 0 {
-			t.Fatalf("cfg=%+v: expected spilling, stats %+v", cfg, c.SpillStats())
-		}
-		if err := c.Close(); err != nil {
-			t.Fatalf("cfg=%+v: Close: %v", cfg, err)
-		}
-	}
+// spillEquivalenceCases spans thresholds from degenerate ones that
+// spill on nearly every batch to a budget that never spills.
+var spillEquivalenceCases = []struct {
+	cfg       SpillConfig
+	mustSpill bool
+}{
+	{SpillConfig{RunEntries: 1}, true},
+	{SpillConfig{RunEntries: 3}, true},
+	{SpillConfig{RunEntries: 7}, true},
+	{SpillConfig{RunEntries: 64}, true},
+	{SpillConfig{RunEntries: 100}, true},
+	{SpillConfig{RunEntries: 5000}, false},
+	{SpillConfig{MemBudget: 1}, true},
+	{SpillConfig{MemBudget: 32 << 10}, true},
+	{SpillConfig{MemBudget: 256 << 10}, true},
+	{SpillConfig{MemBudget: 1 << 20}, false},
+	{SpillConfig{MemBudget: 1 << 30}, false}, // never spills
 }
 
-// TestParallelCollectorSpillEquivalence sweeps worker counts ×
-// thresholds; every combination must reproduce the serial in-memory
-// evidence exactly.
-func TestParallelCollectorSpillEquivalence(t *testing.T) {
-	traces := synthTraces(3000)
+// checkSpillEquivalence runs every spillEquivalenceCases threshold with
+// each worker count; every combination must reproduce the serial
+// in-memory evidence exactly.
+func checkSpillEquivalence(t *testing.T, traces []trace.Trace, workerCounts ...int) {
+	t.Helper()
 	serial := NewCollector()
 	for _, tc := range traces {
 		serial.Add(tc)
 	}
 	want := serial.Evidence()
 
-	for _, workers := range []int{1, 2, 4} {
-		for _, cfg := range []SpillConfig{
-			{RunEntries: 3},
-			{RunEntries: 64},
-			{MemBudget: 1},
-			{MemBudget: 256 << 10},
-		} {
+	for _, workers := range workerCounts {
+		for _, tc := range spillEquivalenceCases {
+			cfg := tc.cfg
 			cfg.Dir = t.TempDir()
+			label := fmt.Sprintf("workers=%d budget=%d entries=%d", workers, cfg.MemBudget, cfg.RunEntries)
 			par := NewParallelCollectorSpill(workers, cfg)
 			for _, tc := range traces {
 				par.Add(tc)
 			}
 			got, err := par.Finish()
 			if err != nil {
-				t.Fatalf("workers=%d cfg=%+v: Finish: %v", workers, cfg, err)
+				t.Fatalf("%s: Finish: %v", label, err)
 			}
-			equalSpillEvidence(t, fmt.Sprintf("workers=%d budget=%d entries=%d",
-				workers, cfg.MemBudget, cfg.RunEntries), want, got)
-			if par.SpillStats().AdjRuns+par.SpillStats().AddrRuns == 0 {
-				t.Fatalf("workers=%d cfg=%+v: nothing spilled", workers, cfg)
+			equalSpillEvidence(t, label, want, got)
+			// Workers flush their address sets at retirement under any
+			// budget, so only adjacency runs show that the shard owners
+			// spilled; shards below their share keep adjacencies resident.
+			st := par.SpillStats()
+			if tc.mustSpill && (st.AdjRuns == 0 || st.AddrRuns == 0) {
+				t.Fatalf("%s: expected adjacency and address runs, stats %+v", label, st)
+			}
+			if cfg.MemBudget == 1<<30 && st.AdjRuns != 0 {
+				t.Fatalf("%s: spilled adjacencies under a budget it never reaches: %+v", label, st)
 			}
 			if err := par.Close(); err != nil {
-				t.Fatalf("workers=%d: Close: %v", workers, err)
+				t.Fatalf("%s: Close: %v", label, err)
 			}
 		}
 	}
+}
+
+// TestCollectorSpillEquivalence: the single-worker spill path, which
+// ingests traces in arrival order, must be byte-identical to the
+// in-memory Collector for every threshold.
+func TestCollectorSpillEquivalence(t *testing.T) {
+	checkSpillEquivalence(t, synthTraces(2500), 1)
+}
+
+// TestParallelCollectorSpillEquivalence sweeps the same thresholds with
+// several sanitise workers racing over the shards.
+func TestParallelCollectorSpillEquivalence(t *testing.T) {
+	checkSpillEquivalence(t, synthTraces(3000), 2, 4)
 }
 
 // TestParallelCollectorAddrFlushSchedule pins when a sanitise worker
@@ -171,169 +163,139 @@ func TestParallelCollectorAddrFlushSchedule(t *testing.T) {
 // over the same on-disk runs stay correct.
 func TestCollectorSpillIncremental(t *testing.T) {
 	traces := synthTraces(1600)
-	oracle := NewCollector()
-	c := NewCollectorSpill(SpillConfig{Dir: t.TempDir(), RunEntries: 50})
-	defer c.Close()
-	par := NewParallelCollectorSpill(3, SpillConfig{Dir: t.TempDir(), RunEntries: 37})
-	defer par.Close()
-
-	for _, tc := range traces[:800] {
-		oracle.Add(tc)
-		c.Add(tc)
-		par.Add(tc)
+	for _, workers := range []int{1, 3} {
+		oracle := NewCollector()
+		par := NewParallelCollectorSpill(workers, SpillConfig{Dir: t.TempDir(), RunEntries: 37})
+		for _, half := range []struct {
+			label  string
+			traces []trace.Trace
+		}{{"first", traces[:800]}, {"second", traces[800:]}} {
+			for _, tc := range half.traces {
+				oracle.Add(tc)
+				par.Add(tc)
+			}
+			got, err := par.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalSpillEvidence(t, fmt.Sprintf("workers=%d/%s", workers, half.label), oracle.Evidence(), got)
+		}
+		if err := par.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	want := oracle.Evidence()
-	got, err := c.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSpillEvidence(t, "serial/first", want, got)
-	pgot, err := par.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSpillEvidence(t, "parallel/first", want, pgot)
-
-	for _, tc := range traces[800:] {
-		oracle.Add(tc)
-		c.Add(tc)
-		par.Add(tc)
-	}
-	want = oracle.Evidence()
-	got, err = c.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSpillEvidence(t, "serial/second", want, got)
-	pgot, err = par.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSpillEvidence(t, "parallel/second", want, pgot)
 }
 
 // TestCollectorSpillSnapshotInsulation: evidence returned before more
 // Adds must not change.
 func TestCollectorSpillSnapshotInsulation(t *testing.T) {
 	traces := synthTraces(1000)
-	c := NewCollectorSpill(SpillConfig{Dir: t.TempDir(), RunEntries: 40})
-	defer c.Close()
-	for _, tc := range traces[:500] {
-		c.Add(tc)
-	}
-	first, err := c.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	adjs := len(first.Adjacencies)
-	addrs := len(first.AllAddrs)
-	stats := first.Stats
-	for _, tc := range traces[500:] {
-		c.Add(tc)
-	}
-	if _, err := c.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Adjacencies) != adjs || len(first.AllAddrs) != addrs || first.Stats != stats {
-		t.Fatal("first snapshot mutated by later Adds")
+	for _, workers := range []int{1, 2} {
+		c := NewParallelCollectorSpill(workers, SpillConfig{Dir: t.TempDir(), RunEntries: 40})
+		for _, tc := range traces[:500] {
+			c.Add(tc)
+		}
+		first, err := c.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		adjs := len(first.Adjacencies)
+		addrs := len(first.AllAddrs)
+		stats := first.Stats
+		for _, tc := range traces[500:] {
+			c.Add(tc)
+		}
+		if _, err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if len(first.Adjacencies) != adjs || len(first.AllAddrs) != addrs || first.Stats != stats {
+			t.Fatalf("workers=%d: first snapshot mutated by later Adds", workers)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestCollectorSpillClose: Close removes every spill file.
 func TestCollectorSpillClose(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCollectorSpill(SpillConfig{Dir: dir, RunEntries: 10})
-	for _, tc := range synthTraces(500) {
-		c.Add(tc)
-	}
-	if _, err := c.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if c.SpillStats().Files == 0 {
-		t.Fatal("expected spill files")
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) == 0 {
-		t.Fatal("no spill files on disk before Close")
-	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	ents, err = os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("%d spill files left after Close", len(ents))
-	}
-}
-
-// TestCollectorSpillWriteError: an unwritable spill directory must
-// surface from Finish as an error (and panic from Evidence), never
-// corrupt the evidence silently.
-func TestCollectorSpillWriteError(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "missing-subdir")
-	c := NewCollectorSpill(SpillConfig{Dir: dir, RunEntries: 5})
-	for _, tc := range synthTraces(300) {
-		c.Add(tc)
-	}
-	if _, err := c.Finish(); err == nil {
-		t.Fatal("Finish succeeded with an unwritable spill dir")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Evidence did not panic on spill failure")
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		c := NewParallelCollectorSpill(workers, SpillConfig{Dir: dir, RunEntries: 10})
+		for _, tc := range synthTraces(500) {
+			c.Add(tc)
 		}
-	}()
-	c.Evidence()
+		if _, err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if c.SpillStats().Files == 0 {
+			t.Fatalf("workers=%d: expected spill files", workers)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) == 0 {
+			t.Fatalf("workers=%d: no spill files on disk before Close", workers)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("workers=%d: Close: %v", workers, err)
+		}
+		ents, err = os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 0 {
+			t.Fatalf("workers=%d: %d spill files left after Close", workers, len(ents))
+		}
+	}
 }
 
 // TestCollectorSpillCorruptSegment: damaging a spill file between
 // ingest and merge must surface as a typed CorruptError from Finish.
 func TestCollectorSpillCorruptSegment(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCollectorSpill(SpillConfig{Dir: dir, RunEntries: 25})
-	defer c.Close()
-	for _, tc := range synthTraces(800) {
-		c.Add(tc)
-	}
-	// A first merge forces the segment writers to flush, so the files on
-	// disk are complete before we damage them.
-	if _, err := c.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte in the middle of every spill segment.
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) == 0 {
-		t.Fatalf("spill files: %v (%d)", err, len(ents))
-	}
-	for _, e := range ents {
-		if !strings.HasPrefix(e.Name(), "mapit-spill-") {
-			continue
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		c := NewParallelCollectorSpill(workers, SpillConfig{Dir: dir, RunEntries: 25})
+		for _, tc := range synthTraces(800) {
+			c.Add(tc)
 		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
+		// A first merge forces the segment writers to flush, so the
+		// files on disk are complete before we damage them.
+		if _, err := c.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if len(data) < 32 {
-			continue
+		// Flip one byte in the middle of every spill segment.
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) == 0 {
+			t.Fatalf("workers=%d: spill files: %v (%d)", workers, err, len(ents))
 		}
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		for _, e := range ents {
+			if !strings.HasPrefix(e.Name(), "mapit-spill-") {
+				continue
+			}
+			path := filepath.Join(dir, e.Name())
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) < 32 {
+				continue
+			}
+			data[len(data)/2] ^= 0x40
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	_, err = c.Finish()
-	if err == nil {
-		t.Fatal("Finish succeeded on a corrupted spill segment")
-	}
-	var ce *trace.CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %v, want *trace.CorruptError", err)
+		_, err = c.Finish()
+		if err == nil {
+			t.Fatalf("workers=%d: Finish succeeded on a corrupted spill segment", workers)
+		}
+		var ce *trace.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("workers=%d: got %v, want *trace.CorruptError", workers, err)
+		}
+		c.Close()
 	}
 }
 
@@ -347,15 +309,8 @@ func TestSpillStatsString(t *testing.T) {
 }
 
 // TestCollectorNoSpillAccessors: the spill accessors are safe no-ops on
-// plain in-memory collectors.
+// an in-memory collector.
 func TestCollectorNoSpillAccessors(t *testing.T) {
-	c := NewCollector()
-	if st := c.SpillStats(); st != (SpillStats{}) {
-		t.Errorf("in-memory Collector SpillStats = %+v", st)
-	}
-	if err := c.Close(); err != nil {
-		t.Errorf("in-memory Collector Close: %v", err)
-	}
 	p := NewParallelCollector(2)
 	if st := p.SpillStats(); st != (SpillStats{}) {
 		t.Errorf("in-memory ParallelCollector SpillStats = %+v", st)
@@ -364,46 +319,62 @@ func TestCollectorNoSpillAccessors(t *testing.T) {
 		t.Errorf("in-memory ParallelCollector Close: %v", err)
 	}
 
-	// Spilling collectors with nothing ever spilled still report stats
-	// and close cleanly. An empty Dir defaults to the system temp dir.
-	s := NewCollectorSpill(SpillConfig{MemBudget: 1 << 40})
-	for _, tc := range synthTraces(20) {
-		s.Add(tc)
-	}
-	if _, err := s.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.SpillStats(); st.SpilledEntries != 0 {
-		t.Errorf("unspilled collector reports spilled entries: %+v", st)
-	}
-	if err := s.Close(); err != nil {
-		t.Errorf("Close: %v", err)
+	// Spilling collectors that never reach their budget keep every
+	// adjacency resident (only the retiring workers' address sets go to
+	// disk), report stats and close cleanly. An empty Dir defaults to
+	// the system temp dir.
+	for _, workers := range []int{1, 2} {
+		s := NewParallelCollectorSpill(workers, SpillConfig{MemBudget: 1 << 40})
+		for _, tc := range synthTraces(20) {
+			s.Add(tc)
+		}
+		if _, err := s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.SpillStats(); st.AdjRuns != 0 {
+			t.Errorf("workers=%d: collector under budget spilled adjacencies: %+v", workers, st)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("workers=%d: Close: %v", workers, err)
+		}
 	}
 }
 
-// TestParallelCollectorSpillWriteError mirrors the serial write-error
-// test: an unusable spill directory surfaces from Finish as an error
-// and from Evidence as a panic, while Close stays clean.
-func TestParallelCollectorSpillWriteError(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "does", "not", "exist")
-	c := NewParallelCollectorSpill(2, SpillConfig{Dir: dir, RunEntries: 1})
-	for _, tc := range synthTraces(200) {
+// checkSpillWriteError: an unusable spill directory surfaces from
+// Finish as an error and from Evidence as a panic — never as silently
+// corrupt evidence — while Close stays clean.
+func checkSpillWriteError(t *testing.T, workers int, dir string) {
+	t.Helper()
+	c := NewParallelCollectorSpill(workers, SpillConfig{Dir: dir, RunEntries: 1})
+	for _, tc := range synthTraces(300) {
 		c.Add(tc)
 	}
 	if _, err := c.Finish(); err == nil {
-		t.Fatal("Finish succeeded with an unusable spill dir")
+		t.Fatalf("workers=%d: Finish succeeded with an unusable spill dir", workers)
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Evidence did not panic on spill error")
+				t.Errorf("workers=%d: Evidence did not panic on spill error", workers)
 			}
 		}()
 		c.Evidence()
 	}()
 	if err := c.Close(); err != nil {
-		t.Errorf("Close: %v", err)
+		t.Errorf("workers=%d: Close: %v", workers, err)
 	}
+}
+
+// TestCollectorSpillWriteError: a missing spill directory fails the
+// single-worker collector.
+func TestCollectorSpillWriteError(t *testing.T) {
+	checkSpillWriteError(t, 1, filepath.Join(t.TempDir(), "missing-subdir"))
+}
+
+// TestParallelCollectorSpillWriteError: a missing directory several
+// levels deep fails a collector whose workers spill concurrently.
+func TestParallelCollectorSpillWriteError(t *testing.T) {
+	checkSpillWriteError(t, 2, filepath.Join(t.TempDir(), "does", "not", "exist"))
 }
 
 // TestRunEvidenceSpillStats: Config.SpillStats travels into
@@ -435,7 +406,9 @@ func TestSpillSegmentDamage(t *testing.T) {
 	adjSet := map[trace.Adjacency]struct{}{
 		{First: 10, Second: 11}: {}, {First: 12, Second: 13}: {},
 	}
-	addrSet := inet.AddrSet{21: {}, 22: {}, 23: {}}
+	addrs := func(flag uint8) map[inet.Addr]uint8 {
+		return map[inet.Addr]uint8{21: flag, 22: flag, 23: flag}
+	}
 
 	t.Run("adj-run-truncated", func(t *testing.T) {
 		sink, sp := newParty(t)
@@ -457,9 +430,9 @@ func TestSpillSegmentDamage(t *testing.T) {
 	})
 
 	t.Run("addr-run-truncated", func(t *testing.T) {
-		for _, stream := range []int{streamAll, streamRet} {
+		for _, flag := range []uint8{addrSeen, addrRetained} { // one run in streamAll, resp. streamRet
 			sink, sp := newParty(t)
-			if !sp.flushAddrSet(addrSet, stream) {
+			if !sp.flushFlaggedAddrs(addrs(flag)) {
 				t.Fatal("flush failed")
 			}
 			if err := sp.file.sw.Flush(); err != nil {
@@ -469,7 +442,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := sink.mergeEvidence(nil, nil, nil, trace.Stats{}); err == nil {
-				t.Errorf("stream %d: merge over a truncated address run succeeded", stream)
+				t.Errorf("flags %b: merge over a truncated address run succeeded", flag)
 			}
 			if err := sink.close(); err != nil {
 				t.Errorf("close: %v", err)
@@ -512,7 +485,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 	t.Run("flush-after-failure-is-noop", func(t *testing.T) {
 		sink, sp := newParty(t)
 		sink.fail(errors.New("boom"))
-		if sp.flushAdjSet(adjSet) || sp.flushAddrSet(addrSet, streamAll) {
+		if sp.flushAdjSet(adjSet) || sp.flushFlaggedAddrs(addrs(addrSeen)) {
 			t.Error("flush reported success on a failed sink")
 		}
 		if sink.spilled() {

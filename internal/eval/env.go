@@ -44,9 +44,8 @@ type EnvConfig struct {
 	Meta  topo.NoiseConfig
 	DNS   hostnames.NoiseConfig
 
-	// Workers parallelises environment construction (sanitisation) and
-	// is forwarded to core.Config by Env.Config. Results are identical
-	// for any value; zero or one means serial.
+	// Workers is forwarded to core.Config by Env.Config. Results are
+	// identical for any value; zero or one means serial.
 	Workers int
 
 	// Audit, when set, is forwarded to core.Config by Env.Config so
@@ -87,7 +86,7 @@ func LargeEnvConfig() EnvConfig {
 func NewEnv(cfg EnvConfig) *Env {
 	w := topo.Generate(cfg.Gen)
 	ds := w.GenTraces(cfg.Trace)
-	s := ds.SanitizeParallel(cfg.Workers)
+	s := ds.Sanitize()
 	orgs, rels, dir := w.PublicInputs(cfg.Meta)
 	e := &Env{
 		World:     w,

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"mapit/internal/inet"
 )
@@ -110,8 +109,7 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 
 // WriteBinaryBlocks emits the dataset in the v3 block format, framing
 // every tracesPerBlock traces as an independently decodable block
-// (tracesPerBlock <= 0 selects DefaultBlockTraces). ReadBinaryParallel
-// decodes these blocks across cores.
+// (tracesPerBlock <= 0 selects DefaultBlockTraces).
 func WriteBinaryBlocks(w io.Writer, d *Dataset, tracesPerBlock int) error {
 	bw, err := NewBlockWriter(w, tracesPerBlock)
 	if err != nil {
@@ -635,9 +633,9 @@ type blockFrame struct {
 	times []int64
 }
 
-// readFrame reads the next v3 block frame into buf's backing array (nil
-// allocates a payload the frame owns), returning io.EOF at the
-// clean end of the stream. In permissive mode, frames whose headers are
+// readFrame reads the next v3/v4 block frame into buf's backing array
+// (allocating a larger one when buf is too small), returning io.EOF at
+// the clean end of the stream. In permissive mode, frames whose headers are
 // self-inconsistent (traceCount impossible for the payload size) or
 // whose payloads are truncated are counted, skipped, and the next frame
 // is tried — the payload length gives the boundary to resynchronise on.
@@ -843,8 +841,7 @@ func applyTimes(traces []Trace, times []int64) {
 	}
 }
 
-// ReadBinary reads a whole binary dataset (either version) into memory
-// on one core. Use ReadBinaryParallel to decode v3 blocks across cores.
+// ReadBinary reads a whole binary dataset (any version) into memory.
 func ReadBinary(r io.Reader) (*Dataset, error) {
 	return ReadBinaryOpts(r, DecodeOptions{})
 }
@@ -874,122 +871,10 @@ func readAll(br *BinaryReader) (*Dataset, error) {
 	}
 }
 
-// ReadBinaryParallel reads a whole binary dataset, decoding v3 blocks
-// concurrently on the given number of workers: one goroutine reads and
-// frames blocks off the stream, workers decode payloads, and blocks
-// reassemble in stream order — so the trace order (and therefore the
-// dataset) is identical to ReadBinary. A v2 stream has no block framing
-// and falls back to the serial decode, as does workers <= 1.
-func ReadBinaryParallel(r io.Reader, workers int) (*Dataset, error) {
-	return ReadBinaryParallelOpts(r, workers, DecodeOptions{})
-}
-
-// ReadBinaryParallelOpts is ReadBinaryParallel with explicit
-// corrupt-input handling options. In permissive mode, corrupt blocks
-// are dropped and counted; the decoded dataset is exactly the traces of
-// the blocks that decoded cleanly, in stream order. In strict mode the
-// earliest corruption in stream order is reported, so failures are
-// deterministic for any worker count.
-func ReadBinaryParallelOpts(r io.Reader, workers int, opt DecodeOptions) (*Dataset, error) {
-	cr := &countReader{r: r}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	stats := opt.sink()
-	version, cerr := decodeMagic(br)
-	if cerr != nil {
-		stats.record(cerr.Class)
-		return nil, cerr
-	}
-	rd := &BinaryReader{br: br, cr: cr, version: version, opt: opt, stats: stats, blockIdx: -1}
-	if version < 3 || workers <= 1 {
-		return readAll(rd)
-	}
-
-	// Workers fill in the traces/err of the job they received; the main
-	// goroutine reads them only after wg.Wait, so no lock is needed.
-	type block struct {
-		frame  blockFrame
-		traces []Trace
-		err    *CorruptError
-	}
-	jobs := make(chan *block, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var dec blockDecoder
-			for b := range jobs {
-				b.traces, b.err = dec.decodeBlockPayload(nil, b.frame.payload, b.frame.off, b.frame.idx, b.frame.count)
-				if b.err == nil && len(b.traces) != b.frame.count {
-					b.err = &CorruptError{Offset: b.frame.off, Block: b.frame.idx, Kind: "block",
-						Class: CorruptCountMismatch,
-						Cause: fmt.Errorf("header claims %d traces, payload holds %d", b.frame.count, len(b.traces))}
-				}
-				if b.err == nil {
-					applyTimes(b.traces, b.frame.times)
-				}
-				b.frame.payload = nil
-			}
-		}()
-	}
-
-	var blocks []*block
-	var frameErr error
-	for {
-		fr, err := rd.readFrame(nil)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			frameErr = err
-			break
-		}
-		b := &block{frame: fr}
-		blocks = append(blocks, b)
-		jobs <- b
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Settle per-block outcomes in stream order: strict mode reports the
-	// earliest corruption; permissive mode counts skips.
-	var firstErr *CorruptError
-	total := 0
-	for _, b := range blocks {
-		if b.err == nil {
-			stats.BlocksDecoded++
-			stats.TracesDecoded += int64(len(b.traces))
-			total += len(b.traces)
-			continue
-		}
-		stats.record(b.err.Class)
-		if opt.Permissive {
-			stats.BlocksSkipped++
-			stats.TracesDropped += int64(b.frame.count)
-		} else if firstErr == nil {
-			firstErr = b.err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if frameErr != nil {
-		return nil, frameErr
-	}
-	d := &Dataset{Traces: make([]Trace, 0, total)}
-	for _, b := range blocks {
-		if b.err == nil {
-			d.Traces = append(d.Traces, b.traces...)
-		}
-	}
-	return d, nil
-}
-
 // decodeBlockPayload decodes one self-contained v3/v4 block payload into
 // dst[:0] and returns the traces; base and blockIdx locate its errors in
 // the outer stream, and count (the frame's trace count) only sizes dst.
-// It does not touch shared decode stats — callers settle outcomes — so
-// block decodes can run concurrently, one blockDecoder per goroutine.
+// It does not touch the decode stats; the caller settles the outcome.
 //
 // The payload is a v2 record stream, walked in place with a cursor: the
 // cursor consumes exactly the bytes the flat v2 reader's
@@ -1095,9 +980,9 @@ func (d *blockDecoder) traceRecord(c *payloadCursor) (Trace, *CorruptError) {
 	return t, nil
 }
 
-// blockDecoder holds the scratch one goroutine reuses across block
-// decodes, so a block costs two allocations (its trace slice and its hop
-// slab) plus one string per monitor definition.
+// blockDecoder holds the scratch a reader reuses across block decodes,
+// so a block costs two allocations (its trace slice and its hop slab)
+// plus one string per monitor definition.
 type blockDecoder struct {
 	hops      []Hop
 	hopCounts []int

@@ -34,14 +34,6 @@ func TestBinaryV4RoundTrip(t *testing.T) {
 		}
 		sameDataset(t, d, back, fmt.Sprintf("serial perBlock=%d", perBlock))
 
-		for _, workers := range []int{2, 5} {
-			par, err := ReadBinaryParallel(bytes.NewReader(raw), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameDataset(t, d, par, fmt.Sprintf("parallel perBlock=%d workers=%d", perBlock, workers))
-		}
-
 		// Streaming reader parity, with decode stats accounted.
 		var stats DecodeStats
 		sr, err := NewBinaryReaderOpts(bytes.NewReader(raw), DecodeOptions{Stats: &stats})
@@ -270,47 +262,44 @@ func TestFaultInjectionV4Timestamps(t *testing.T) {
 			// the column; a trailing frame would feed it bytes instead.
 			stream = cat([]byte("MTRC\x04"), tc.frame)
 		}
-		for _, workers := range []int{1, 3} {
-			label := fmt.Sprintf("%s/workers=%d", tc.name, workers)
-			_, err := ReadBinaryParallelOpts(bytes.NewReader(stream), workers, DecodeOptions{})
-			var ce *CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("%s: err = %v, want CorruptError", label, err)
-			}
-			if ce.Class != tc.class {
-				t.Errorf("%s: class = %v, want %v", label, ce.Class, tc.class)
-			}
+		label := tc.name
+		_, err := ReadBinaryOpts(bytes.NewReader(stream), DecodeOptions{})
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want CorruptError", label, err)
+		}
+		if ce.Class != tc.class {
+			t.Errorf("%s: class = %v, want %v", label, ce.Class, tc.class)
+		}
 
-			var stats DecodeStats
-			ds, perr := ReadBinaryParallelOpts(bytes.NewReader(stream), workers,
-				DecodeOptions{Permissive: true, Stats: &stats})
-			switch tc.class {
-			case CorruptBadTimestamp:
-				// Framing survives: the bad block is skipped, the tail
-				// decodes, and the loss is counted.
-				if perr != nil {
-					t.Fatalf("%s permissive: %v", label, perr)
-				}
-				if len(ds.Traces) != 1 || ds.Traces[0].Time != 200 {
-					t.Errorf("%s permissive: got %d traces", label, len(ds.Traces))
-				}
-				if stats.BlocksSkipped != 1 || stats.Errors[CorruptBadTimestamp] == 0 {
-					t.Errorf("%s permissive: stats %+v", label, stats)
-				}
-			case CorruptOversizedLen:
-				// Framing itself is gone: fatal in both modes.
-				if perr == nil {
-					t.Errorf("%s permissive: oversized tsLen not fatal", label)
-				}
-			case CorruptTruncated:
-				// The column read hit EOF (the "tail" bytes were consumed
-				// as column): permissive keeps what came before — nothing.
-				if perr != nil {
-					t.Fatalf("%s permissive: %v", label, perr)
-				}
-				if len(ds.Traces) != 0 {
-					t.Errorf("%s permissive: got %d traces, want 0", label, len(ds.Traces))
-				}
+		var stats DecodeStats
+		ds, perr := ReadBinaryOpts(bytes.NewReader(stream), DecodeOptions{Permissive: true, Stats: &stats})
+		switch tc.class {
+		case CorruptBadTimestamp:
+			// Framing survives: the bad block is skipped, the tail
+			// decodes, and the loss is counted.
+			if perr != nil {
+				t.Fatalf("%s permissive: %v", label, perr)
+			}
+			if len(ds.Traces) != 1 || ds.Traces[0].Time != 200 {
+				t.Errorf("%s permissive: got %d traces", label, len(ds.Traces))
+			}
+			if stats.BlocksSkipped != 1 || stats.Errors[CorruptBadTimestamp] == 0 {
+				t.Errorf("%s permissive: stats %+v", label, stats)
+			}
+		case CorruptOversizedLen:
+			// Framing itself is gone: fatal in both modes.
+			if perr == nil {
+				t.Errorf("%s permissive: oversized tsLen not fatal", label)
+			}
+		case CorruptTruncated:
+			// The column read hit EOF (the "tail" bytes were consumed
+			// as column): permissive keeps what came before — nothing.
+			if perr != nil {
+				t.Fatalf("%s permissive: %v", label, perr)
+			}
+			if len(ds.Traces) != 0 {
+				t.Errorf("%s permissive: got %d traces, want 0", label, len(ds.Traces))
 			}
 		}
 	}

@@ -116,8 +116,7 @@ func (e *CorruptError) Unwrap() error { return e.Cause }
 // corrupt v3 blocks by skipping them; these counters are how the
 // caller learns what was lost. All fields are plain values so the
 // struct is comparable and travels inside core.Diagnostics; readers
-// only mutate it from the goroutine that owns the decode, and parallel
-// decodes tally into it after the workers join.
+// only mutate it from the goroutine that owns the decode.
 type DecodeStats struct {
 	// BlocksDecoded counts v3 blocks that decoded cleanly.
 	BlocksDecoded int64

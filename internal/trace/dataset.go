@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sync"
-
-	"mapit/internal/inet"
-)
+import "mapit/internal/inet"
 
 // Dataset is an in-memory traceroute collection.
 type Dataset struct {
@@ -52,8 +48,9 @@ type Sanitized struct {
 	Stats    Stats
 }
 
-// Sanitize runs §4.1 over the whole dataset serially. Equivalent to
-// SanitizeParallel(1).
+// Sanitize runs §4.1 over the whole dataset serially. Streaming and
+// parallel sanitisation live in core's collectors, which distil
+// evidence without retaining traces.
 func (d *Dataset) Sanitize() *Sanitized {
 	out := &Sanitized{
 		Retained: make([]Trace, 0, len(d.Traces)),
@@ -79,88 +76,6 @@ func (d *Dataset) Sanitize() *Sanitized {
 			}
 		}
 		out.Retained = append(out.Retained, clean)
-	}
-	out.Stats.DistinctAddrs = len(out.AllAddrs)
-	out.Stats.RetainedAddrs = len(retainedAddrs)
-	return out
-}
-
-// sanitizeParallelMin gates the parallel path: below this many traces
-// per worker the goroutine and merge overhead beats the win.
-const sanitizeParallelMin = 64
-
-// SanitizeParallel runs §4.1 over the dataset chunked across the given
-// number of worker goroutines. Each worker sanitises a contiguous range
-// of traces into a private partial (retained slice, address sets,
-// counters); partials are merged in chunk order, so Retained preserves
-// dataset order and the result — traces, sets and statistics — is
-// identical to the serial Sanitize for any worker count. workers <= 1
-// selects the serial path.
-func (d *Dataset) SanitizeParallel(workers int) *Sanitized {
-	if workers <= 1 || len(d.Traces) < sanitizeParallelMin*workers {
-		return d.Sanitize()
-	}
-	type partial struct {
-		retained      []Trace
-		allAddrs      inet.AddrSet
-		retainedAddrs inet.AddrSet
-		discarded     int
-		removedHops   int
-	}
-	chunk := (len(d.Traces) + workers - 1) / workers
-	parts := make([]partial, (len(d.Traces)+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	for w := range parts {
-		lo := w * chunk
-		hi := min(lo+chunk, len(d.Traces))
-		wg.Add(1)
-		go func(p *partial, traces []Trace) {
-			defer wg.Done()
-			p.allAddrs = make(inet.AddrSet)
-			p.retainedAddrs = make(inet.AddrSet)
-			p.retained = make([]Trace, 0, len(traces))
-			for _, t := range traces {
-				for _, h := range t.Hops {
-					if h.Responded() {
-						p.allAddrs.Add(h.Addr)
-					}
-				}
-				clean, res := Sanitize(t)
-				p.removedHops += res.RemovedHops
-				if res.Discarded {
-					p.discarded++
-					continue
-				}
-				for _, h := range clean.Hops {
-					if h.Responded() {
-						p.retainedAddrs.Add(h.Addr)
-					}
-				}
-				p.retained = append(p.retained, clean)
-			}
-		}(&parts[w], d.Traces[lo:hi])
-	}
-	wg.Wait()
-
-	out := &Sanitized{AllAddrs: make(inet.AddrSet)}
-	out.Stats.TotalTraces = len(d.Traces)
-	retainedAddrs := make(inet.AddrSet)
-	total := 0
-	for i := range parts {
-		total += len(parts[i].retained)
-	}
-	out.Retained = make([]Trace, 0, total)
-	for i := range parts {
-		p := &parts[i]
-		out.Retained = append(out.Retained, p.retained...)
-		for a := range p.allAddrs {
-			out.AllAddrs.Add(a)
-		}
-		for a := range p.retainedAddrs {
-			retainedAddrs.Add(a)
-		}
-		out.Stats.DiscardedTraces += p.discarded
-		out.Stats.RemovedHops += p.removedHops
 	}
 	out.Stats.DistinctAddrs = len(out.AllAddrs)
 	out.Stats.RetainedAddrs = len(retainedAddrs)

@@ -13,8 +13,8 @@ import (
 // corruption mode systematically (truncation at each frame-boundary
 // class, bit flips, oversized uvarints, bad magic, out-of-range monitor
 // ids, payload/traceCount mismatches), and asserts the decoders —
-// serial and parallel, strict and permissive — either return a typed
-// *CorruptError with offset context or skip-and-count, and never
+// one-shot and streaming, strict and permissive — either return a
+// typed *CorruptError with offset context or skip-and-count, and never
 // panic or trust a hostile length field. CI runs this under -race.
 
 // faultCorpus is a valid corpus in one binary version.
@@ -183,29 +183,20 @@ func checkDecodeErr(t *testing.T, label string, err error, inputLen int) {
 }
 
 // TestFaultInjectionMatrix drives every corruption mode through the
-// serial and parallel readers in strict and permissive modes: no
-// panics, every failure a *CorruptError, and strict serial/parallel
-// agreeing on success (with identical datasets) or failure.
+// reader in strict and permissive modes: no panics, every failure a
+// *CorruptError, and a permissive decode whose trace count matches its
+// stats. A strict decode that succeeds must agree with the permissive
+// one and skip nothing.
 func TestFaultInjectionMatrix(t *testing.T) {
 	for _, c := range buildFaultCorpora(t) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, v := range corruptions(t, c) {
-				serial, serr := ReadBinaryOpts(bytes.NewReader(v.data), DecodeOptions{})
-				checkDecodeErr(t, v.name+"/serial-strict", serr, len(v.data))
-
-				par, perr := ReadBinaryParallelOpts(bytes.NewReader(v.data), 3, DecodeOptions{})
-				checkDecodeErr(t, v.name+"/parallel-strict", perr, len(v.data))
-
-				if (serr == nil) != (perr == nil) {
-					t.Fatalf("%s: strict serial err=%v, parallel err=%v", v.name, serr, perr)
-				}
-				if serr == nil {
-					sameDataset(t, serial, par, v.name+"/strict-equivalence")
-				}
+				strict, serr := ReadBinaryOpts(bytes.NewReader(v.data), DecodeOptions{})
+				checkDecodeErr(t, v.name+"/strict", serr, len(v.data))
 
 				var stats DecodeStats
 				ds, err := ReadBinaryOpts(bytes.NewReader(v.data), DecodeOptions{Permissive: true, Stats: &stats})
-				checkDecodeErr(t, v.name+"/serial-permissive", err, len(v.data))
+				checkDecodeErr(t, v.name+"/permissive", err, len(v.data))
 				if err == nil {
 					if got := int64(len(ds.Traces)); got != stats.TracesDecoded {
 						t.Errorf("%s: stats.TracesDecoded=%d but %d traces", v.name, stats.TracesDecoded, got)
@@ -214,14 +205,13 @@ func TestFaultInjectionMatrix(t *testing.T) {
 						t.Errorf("%s: blocks skipped without recorded errors", v.name)
 					}
 				}
-
-				var pstats DecodeStats
-				pds, err := ReadBinaryParallelOpts(bytes.NewReader(v.data), 3, DecodeOptions{Permissive: true, Stats: &pstats})
-				checkDecodeErr(t, v.name+"/parallel-permissive", err, len(v.data))
-				if err == nil && ds != nil {
-					sameDataset(t, ds, pds, v.name+"/permissive-equivalence")
-					if stats.BlocksSkipped != pstats.BlocksSkipped || stats.TracesDropped != pstats.TracesDropped {
-						t.Errorf("%s: permissive stats diverge: serial %+v parallel %+v", v.name, stats, pstats)
+				if serr == nil {
+					if err != nil {
+						t.Fatalf("%s: strict decode succeeded, permissive failed: %v", v.name, err)
+					}
+					sameDataset(t, strict, ds, v.name+"/strict-vs-permissive")
+					if stats.BlocksSkipped != 0 || stats.TracesDropped != 0 {
+						t.Errorf("%s: clean input skipped data: %+v", v.name, stats)
 					}
 				}
 			}
@@ -265,55 +255,46 @@ func TestFaultInjectionPermissiveSkip(t *testing.T) {
 			}
 		}
 
-		for _, readerCase := range []struct {
-			name   string
-			decode func(opt DecodeOptions) (*Dataset, error)
-		}{
-			{"serial", func(opt DecodeOptions) (*Dataset, error) {
-				return ReadBinaryOpts(bytes.NewReader(bad), opt)
-			}},
-			{"parallel", func(opt DecodeOptions) (*Dataset, error) {
-				return ReadBinaryParallelOpts(bytes.NewReader(bad), 4, opt)
-			}},
-		} {
-			label := fmt.Sprintf("block%d/%s", k, readerCase.name)
+		decode := func(opt DecodeOptions) (*Dataset, error) {
+			return ReadBinaryOpts(bytes.NewReader(bad), opt)
+		}
+		label := fmt.Sprintf("block%d", k)
 
-			// Strict: typed hard error naming the corrupt block.
-			if _, err := readerCase.decode(DecodeOptions{}); err == nil {
-				t.Fatalf("%s: strict decode accepted corrupt block", label)
-			} else {
-				var ce *CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("%s: strict error untyped: %v", label, err)
-				}
-				if ce.Block != k {
-					t.Errorf("%s: error names block %d", label, ce.Block)
-				}
-				if ce.Class != CorruptBadKind {
-					t.Errorf("%s: class = %v, want %v", label, ce.Class, CorruptBadKind)
-				}
+		// Strict: typed hard error naming the corrupt block.
+		if _, err := decode(DecodeOptions{}); err == nil {
+			t.Fatalf("%s: strict decode accepted corrupt block", label)
+		} else {
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%s: strict error untyped: %v", label, err)
 			}
+			if ce.Block != k {
+				t.Errorf("%s: error names block %d", label, ce.Block)
+			}
+			if ce.Class != CorruptBadKind {
+				t.Errorf("%s: class = %v, want %v", label, ce.Class, CorruptBadKind)
+			}
+		}
 
-			// Permissive: the decoded set equals the uncorrupted
-			// blocks' traces exactly, and the loss is counted.
-			var stats DecodeStats
-			got, err := readerCase.decode(DecodeOptions{Permissive: true, Stats: &stats})
-			if err != nil {
-				t.Fatalf("%s: permissive decode failed: %v", label, err)
-			}
-			sameDataset(t, want, got, label+"/permissive")
-			if stats.BlocksSkipped != 1 {
-				t.Errorf("%s: BlocksSkipped = %d, want 1", label, stats.BlocksSkipped)
-			}
-			if stats.TracesDropped != int64(frames[k].count) {
-				t.Errorf("%s: TracesDropped = %d, want %d", label, stats.TracesDropped, frames[k].count)
-			}
-			if stats.Errors[CorruptBadKind] == 0 {
-				t.Errorf("%s: bad_kind error not recorded: %+v", label, stats.ErrorsByClass())
-			}
-			if stats.BlocksDecoded != int64(len(frames)-1) {
-				t.Errorf("%s: BlocksDecoded = %d, want %d", label, stats.BlocksDecoded, len(frames)-1)
-			}
+		// Permissive: the decoded set equals the uncorrupted
+		// blocks' traces exactly, and the loss is counted.
+		var stats DecodeStats
+		got, err := decode(DecodeOptions{Permissive: true, Stats: &stats})
+		if err != nil {
+			t.Fatalf("%s: permissive decode failed: %v", label, err)
+		}
+		sameDataset(t, want, got, label+"/permissive")
+		if stats.BlocksSkipped != 1 {
+			t.Errorf("%s: BlocksSkipped = %d, want 1", label, stats.BlocksSkipped)
+		}
+		if stats.TracesDropped != int64(frames[k].count) {
+			t.Errorf("%s: TracesDropped = %d, want %d", label, stats.TracesDropped, frames[k].count)
+		}
+		if stats.Errors[CorruptBadKind] == 0 {
+			t.Errorf("%s: bad_kind error not recorded: %+v", label, stats.ErrorsByClass())
+		}
+		if stats.BlocksDecoded != int64(len(frames)-1) {
+			t.Errorf("%s: BlocksDecoded = %d, want %d", label, stats.BlocksDecoded, len(frames)-1)
 		}
 	}
 }
@@ -340,16 +321,14 @@ func TestFaultInjectionTruncatedTail(t *testing.T) {
 		want.Traces = append(want.Traces, traces...)
 	}
 
-	for _, workers := range []int{1, 4} {
-		var stats DecodeStats
-		got, err := ReadBinaryParallelOpts(bytes.NewReader(cut), workers, DecodeOptions{Permissive: true, Stats: &stats})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sameDataset(t, &want, got, fmt.Sprintf("truncated-tail workers=%d", workers))
-		if stats.BlocksSkipped != 1 || stats.Errors[CorruptTruncated] == 0 {
-			t.Errorf("workers=%d: skip not counted: %+v", workers, stats)
-		}
+	var stats DecodeStats
+	got, err := ReadBinaryOpts(bytes.NewReader(cut), DecodeOptions{Permissive: true, Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDataset(t, &want, got, "truncated-tail")
+	if stats.BlocksSkipped != 1 || stats.Errors[CorruptTruncated] == 0 {
+		t.Errorf("skip not counted: %+v", stats)
 	}
 }
 
@@ -402,15 +381,13 @@ func TestFaultInjectionOversizedFields(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 3} {
-			_, err := ReadBinaryParallelOpts(bytes.NewReader(tc.data), workers, DecodeOptions{})
-			var ce *CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("%s workers=%d: err = %v, want CorruptError", tc.name, workers, err)
-			}
-			if ce.Class != tc.class {
-				t.Errorf("%s workers=%d: class = %v, want %v", tc.name, workers, ce.Class, tc.class)
-			}
+		_, err := ReadBinaryOpts(bytes.NewReader(tc.data), DecodeOptions{})
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want CorruptError", tc.name, err)
+		}
+		if ce.Class != tc.class {
+			t.Errorf("%s: class = %v, want %v", tc.name, ce.Class, tc.class)
 		}
 	}
 
@@ -423,7 +400,7 @@ func TestFaultInjectionOversizedFields(t *testing.T) {
 				continue
 			}
 			var stats DecodeStats
-			ds, err := ReadBinaryParallelOpts(bytes.NewReader(tc.data), 2, DecodeOptions{Permissive: true, Stats: &stats})
+			ds, err := ReadBinaryOpts(bytes.NewReader(tc.data), DecodeOptions{Permissive: true, Stats: &stats})
 			if err != nil {
 				t.Fatalf("%s permissive: %v", tc.name, err)
 			}
@@ -464,33 +441,31 @@ func TestFaultInjectionCountMismatch(t *testing.T) {
 		bad.Write(raw[f.payloadOff : f.payloadOff+f.payloadLen])
 	}
 
-	for _, workers := range []int{1, 4} {
-		_, err := ReadBinaryParallelOpts(bytes.NewReader(bad.Bytes()), workers, DecodeOptions{})
-		var ce *CorruptError
-		if !errors.As(err, &ce) || ce.Class != CorruptCountMismatch {
-			t.Fatalf("workers=%d: err = %v, want count_mismatch CorruptError", workers, err)
-		}
+	_, err := ReadBinaryOpts(bytes.NewReader(bad.Bytes()), DecodeOptions{})
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Class != CorruptCountMismatch {
+		t.Fatalf("err = %v, want count_mismatch CorruptError", err)
+	}
 
-		var stats DecodeStats
-		got, err := ReadBinaryParallelOpts(bytes.NewReader(bad.Bytes()), workers, DecodeOptions{Permissive: true, Stats: &stats})
-		if err != nil {
-			t.Fatalf("workers=%d permissive: %v", workers, err)
+	var stats DecodeStats
+	got, err := ReadBinaryOpts(bytes.NewReader(bad.Bytes()), DecodeOptions{Permissive: true, Stats: &stats})
+	if err != nil {
+		t.Fatalf("permissive: %v", err)
+	}
+	var want Dataset
+	for i, f := range frames {
+		if i == 0 {
+			continue
 		}
-		var want Dataset
-		for i, f := range frames {
-			if i == 0 {
-				continue
-			}
-			traces, cerr := new(blockDecoder).decodeBlockPayload(nil, raw[f.payloadOff:f.payloadOff+f.payloadLen], 0, 0, f.count)
-			if cerr != nil {
-				t.Fatal(cerr)
-			}
-			want.Traces = append(want.Traces, traces...)
+		traces, cerr := new(blockDecoder).decodeBlockPayload(nil, raw[f.payloadOff:f.payloadOff+f.payloadLen], 0, 0, f.count)
+		if cerr != nil {
+			t.Fatal(cerr)
 		}
-		sameDataset(t, &want, got, fmt.Sprintf("count-mismatch workers=%d", workers))
-		if stats.BlocksSkipped != 1 || stats.TracesDropped != int64(frames[0].count+1) {
-			t.Errorf("workers=%d: stats = %+v", workers, stats)
-		}
+		want.Traces = append(want.Traces, traces...)
+	}
+	sameDataset(t, &want, got, "count-mismatch")
+	if stats.BlocksSkipped != 1 || stats.TracesDropped != int64(frames[0].count+1) {
+		t.Errorf("stats = %+v", stats)
 	}
 }
 

@@ -71,10 +71,10 @@ func fuzzSeedBlocks() []byte {
 	return seed.Bytes()
 }
 
-// FuzzBinaryBlockReader feeds arbitrary bytes to the parallel block
-// reader in strict mode: every failure must be a typed *CorruptError —
-// never a panic, never an unbounded allocation — and serial and
-// parallel decodes must agree on the result.
+// FuzzBinaryBlockReader feeds arbitrary bytes to the block reader in
+// strict mode: every failure must be a typed *CorruptError — never a
+// panic, never an unbounded allocation — and input the strict decode
+// accepts must decode identically in permissive mode, skipping nothing.
 func FuzzBinaryBlockReader(f *testing.F) {
 	seed := fuzzSeedBlocks()
 	f.Add(seed)
@@ -84,32 +84,31 @@ func FuzzBinaryBlockReader(f *testing.F) {
 	f.Add([]byte("MTRC\x03\x02\x08\xff\xff\xff\xff\x7f\x00\x00\x00\x00\x00\x00\x00\x00")) // lying traceCount
 	f.Add([]byte("MTRC\x03\x02\x07\x01\x01\x07\t\t\t\t\x00"))                             // monitor id out of range
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, workers := range []int{1, 3} {
-			ds, err := ReadBinaryParallelOpts(bytes.NewReader(data), workers, DecodeOptions{})
-			if err != nil {
-				var ce *CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("workers=%d: untyped error %T: %v", workers, err, err)
-				}
-				continue
+		ds, err := ReadBinaryOpts(bytes.NewReader(data), DecodeOptions{})
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped error %T: %v", err, err)
 			}
-			serial, serr := ReadBinaryOpts(bytes.NewReader(data), DecodeOptions{})
-			if serr != nil {
-				t.Fatalf("workers=%d accepted input the serial reader rejects: %v", workers, serr)
-			}
-			if len(ds.Traces) != len(serial.Traces) {
-				t.Fatalf("workers=%d decoded %d traces, serial %d", workers, len(ds.Traces), len(serial.Traces))
-			}
+			return
+		}
+		var stats DecodeStats
+		pds, err := ReadBinaryOpts(bytes.NewReader(data), DecodeOptions{Permissive: true, Stats: &stats})
+		if err != nil {
+			t.Fatalf("permissive rejected input the strict decode accepts: %v", err)
+		}
+		if len(pds.Traces) != len(ds.Traces) || stats.BlocksSkipped != 0 {
+			t.Fatalf("permissive decoded %d traces (%d blocks skipped), strict %d",
+				len(pds.Traces), stats.BlocksSkipped, len(ds.Traces))
 		}
 	})
 }
 
-// FuzzV4Decode feeds arbitrary bytes to the v4 decoders in strict and
-// permissive modes: every failure must be a typed *CorruptError, serial
-// and parallel decodes must agree, decoded timestamps must respect the
-// format's bounds and per-block ordering contract, and whatever decodes
-// cleanly must re-encode and decode back identically (timestamps
-// included).
+// FuzzV4Decode feeds arbitrary bytes to the v4 decoder in strict and
+// permissive modes: every failure must be a typed *CorruptError,
+// decoded timestamps must respect the format's bounds and per-block
+// ordering contract, and whatever decodes cleanly must re-encode and
+// decode back identically (timestamps included).
 func FuzzV4Decode(f *testing.F) {
 	var seed bytes.Buffer
 	t1 := NewTrace("m", 0x08080808, 0x01010101, 0, 0x02020202)
@@ -123,37 +122,16 @@ func FuzzV4Decode(f *testing.F) {
 	f.Add([]byte("MTRC\x04\x02\x07\x01\x02\x64\x05\x01\x00\t\t\t\t\x00")) // negative delta (zigzag 5)
 	f.Add([]byte("MTRC\x04\x02\x07\x01\x00\x01\x00\t\t\t\t\x00"))         // column bytes for claimed count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var serial *Dataset
-		for _, workers := range []int{1, 3} {
-			ds, err := ReadBinaryParallelOpts(bytes.NewReader(data), workers, DecodeOptions{})
-			if err != nil {
-				var ce *CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("workers=%d: untyped error %T: %v", workers, err, err)
-				}
-				if serial != nil {
-					t.Fatalf("workers=%d rejected input the serial reader accepts: %v", workers, err)
-				}
-				continue
+		serial, err := ReadBinaryOpts(bytes.NewReader(data), DecodeOptions{})
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped error %T: %v", err, err)
 			}
-			if workers == 1 {
-				serial = ds
-			} else if serial == nil {
-				t.Fatal("parallel accepted input the serial reader rejects")
-			} else if len(ds.Traces) != len(serial.Traces) {
-				t.Fatalf("workers=%d decoded %d traces, serial %d", workers, len(ds.Traces), len(serial.Traces))
-			}
-			for i, tr := range ds.Traces {
-				if tr.Time < 0 || tr.Time > maxV4Time {
-					t.Fatalf("trace %d: decoded time %d outside format bounds", i, tr.Time)
-				}
-			}
-		}
-		if serial == nil {
 			// Permissive decode of rejected input must still terminate
 			// with typed-or-nil errors and consistent counters.
 			var stats DecodeStats
-			ds, err := ReadBinaryParallelOpts(bytes.NewReader(data), 2, DecodeOptions{Permissive: true, Stats: &stats})
+			ds, err := ReadBinaryOpts(bytes.NewReader(data), DecodeOptions{Permissive: true, Stats: &stats})
 			if err != nil {
 				var ce *CorruptError
 				if !errors.As(err, &ce) {
@@ -168,6 +146,11 @@ func FuzzV4Decode(f *testing.F) {
 				t.Fatal("permissive: blocks skipped without recorded errors")
 			}
 			return
+		}
+		for i, tr := range serial.Traces {
+			if tr.Time < 0 || tr.Time > maxV4Time {
+				t.Fatalf("trace %d: decoded time %d outside format bounds", i, tr.Time)
+			}
 		}
 		// Clean decodes re-encode: v4 needs stream-wide sorted times, so
 		// only assert the writer round-trips when the decode order is
@@ -203,7 +186,7 @@ func FuzzV4Decode(f *testing.F) {
 }
 
 // FuzzPermissiveDecode feeds arbitrary bytes through permissive
-// decoding — parallel and streaming — and checks the decode-health
+// decoding — one-shot and streaming — and checks the decode-health
 // invariants: trace counts match the stats, and nothing is skipped
 // without a recorded error.
 func FuzzPermissiveDecode(f *testing.F) {
@@ -218,18 +201,18 @@ func FuzzPermissiveDecode(f *testing.F) {
 	f.Add([]byte("MTRC\x03\x02\x08\xff\xff\xff\xff\x7f\x00\x00\x00\x00\x00\x00\x00\x00")) // lying traceCount
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var pstats DecodeStats
-		ds, err := ReadBinaryParallelOpts(bytes.NewReader(data), 2, DecodeOptions{Permissive: true, Stats: &pstats})
+		ds, err := ReadBinaryOpts(bytes.NewReader(data), DecodeOptions{Permissive: true, Stats: &pstats})
 		if err != nil {
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("parallel: untyped error %T: %v", err, err)
+				t.Fatalf("one-shot: untyped error %T: %v", err, err)
 			}
 		} else {
 			if int64(len(ds.Traces)) != pstats.TracesDecoded {
-				t.Fatalf("parallel: %d traces but stats say %d", len(ds.Traces), pstats.TracesDecoded)
+				t.Fatalf("one-shot: %d traces but stats say %d", len(ds.Traces), pstats.TracesDecoded)
 			}
 			if pstats.BlocksSkipped > 0 && pstats.TotalErrors() == 0 {
-				t.Fatal("parallel: blocks skipped without recorded errors")
+				t.Fatal("one-shot: blocks skipped without recorded errors")
 			}
 		}
 
@@ -248,10 +231,10 @@ func FuzzPermissiveDecode(f *testing.F) {
 		if decoded != sstats.TracesDecoded {
 			t.Fatalf("streaming: decoded %d but stats say %d", decoded, sstats.TracesDecoded)
 		}
-		// A clean permissive parallel decode and the streaming reader
+		// A clean permissive one-shot decode and the streaming reader
 		// must agree on the surviving trace count.
 		if err == nil && rerr == nil && decoded != int64(len(ds.Traces)) {
-			t.Fatalf("streaming decoded %d traces, parallel %d", decoded, len(ds.Traces))
+			t.Fatalf("streaming decoded %d traces, one-shot %d", decoded, len(ds.Traces))
 		}
 	})
 }

@@ -1,68 +1,54 @@
 package mapit
 
 import (
-	"bufio"
 	"io"
 	"os"
 
 	"mapit/internal/as2org"
 	"mapit/internal/bgp"
+	"mapit/internal/core"
 	"mapit/internal/ixp"
 	"mapit/internal/relation"
 	"mapit/internal/trace"
 )
 
-// ReadTraces parses a traceroute dataset in the repository's text format
-// ("monitor|dst|hop hop ...", hops are dotted quads, "*", or
-// "addr!q<ttl>" for anomalous quoted TTLs).
-func ReadTraces(r io.Reader) (*Dataset, error) { return trace.Read(r) }
+// ReadTraces reads a whole trace dataset, sniffing its format from the
+// first bytes: text ("monitor|dst|hop hop ...", hops are dotted quads,
+// "*", or "addr!q<ttl>" for anomalous quoted TTLs), JSONL, or binary
+// MTRC v2/v3/v4. It decodes strictly through DecodeTraces, the loop
+// under the Ingestor; callers that stream, or that want permissive
+// decoding, call DecodeTraces directly.
+func ReadTraces(r io.Reader) (*Dataset, error) {
+	ds := &Dataset{}
+	if _, err := core.DecodeTraces(r, DecodeOptions{}, func(t Trace) error {
+		ds.Traces = append(ds.Traces, t)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
 
-// ReadTracesFile reads a trace dataset from disk, auto-detecting the
-// text, JSONL and binary formats.
+// ReadTracesFile is ReadTraces over a file path.
 func ReadTracesFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if head, err := br.Peek(5); err == nil {
-		switch {
-		case string(head) == "MTRC\x02" || string(head) == "MTRC\x03":
-			return trace.ReadBinary(br)
-		case head[0] == '{':
-			return trace.ReadJSON(br)
-		}
-	}
-	return trace.Read(br)
+	return ReadTraces(f)
 }
 
-// WriteTraces emits a dataset in the format ReadTraces parses.
+// WriteTraces emits a dataset in the text format.
 func WriteTraces(w io.Writer, ds *Dataset) error { return trace.Write(w, ds) }
-
-// ReadTracesJSON parses a JSONL trace dataset
-// ({"monitor":...,"dst":...,"hops":[...]} per line).
-func ReadTracesJSON(r io.Reader) (*Dataset, error) { return trace.ReadJSON(r) }
 
 // WriteTracesJSON emits a dataset as JSONL.
 func WriteTracesJSON(w io.Writer, ds *Dataset) error { return trace.WriteJSON(w, ds) }
 
-// ReadTracesBinary reads the compact binary trace format (either
-// version) on one core.
-func ReadTracesBinary(r io.Reader) (*Dataset, error) { return trace.ReadBinary(r) }
-
-// ReadTracesBinaryParallel reads the compact binary trace format,
-// decoding block-format (v3) streams across the given number of worker
-// goroutines. Flat v2 streams fall back to the serial decode. The
-// resulting dataset is identical to ReadTracesBinary's.
-func ReadTracesBinaryParallel(r io.Reader, workers int) (*Dataset, error) {
-	return trace.ReadBinaryParallel(r, workers)
-}
-
 // Corrupt-input handling: the binary decoders validate every length
 // field, count, and interned index they read, and report failures as
 // *CorruptError with byte-offset context. Permissive decoding
-// additionally survives corrupt v3 blocks by skipping them.
+// additionally survives corrupt v3/v4 blocks by skipping them.
 type (
 	// CorruptError is a structured binary decode failure (byte offset,
 	// block index, record kind, failure class).
@@ -74,27 +60,14 @@ type (
 	DecodeOptions = trace.DecodeOptions
 )
 
-// ReadTracesBinaryOpts is ReadTracesBinary with explicit corrupt-input
-// handling options.
-func ReadTracesBinaryOpts(r io.Reader, opt DecodeOptions) (*Dataset, error) {
-	return trace.ReadBinaryOpts(r, opt)
-}
-
-// ReadTracesBinaryParallelOpts is ReadTracesBinaryParallel with
-// explicit corrupt-input handling options. In permissive mode the
-// result holds exactly the traces of the blocks that decoded cleanly,
-// in stream order.
-func ReadTracesBinaryParallelOpts(r io.Reader, workers int, opt DecodeOptions) (*Dataset, error) {
-	return trace.ReadBinaryParallelOpts(r, workers, opt)
-}
-
 // WriteTracesBinary emits the compact binary trace format (~5 bytes per
 // hop with interned monitor names — the right choice for month-scale
 // corpora).
 func WriteTracesBinary(w io.Writer, ds *Dataset) error { return trace.WriteBinary(w, ds) }
 
 // WriteTracesBinaryBlocks emits the block-framed binary trace format
-// (v3), which ReadTracesBinaryParallel can decode across cores.
+// (v3): every tracesPerBlock traces form an independently decodable
+// block, so permissive decoding loses only the corrupt block.
 // tracesPerBlock <= 0 selects the default block size.
 func WriteTracesBinaryBlocks(w io.Writer, ds *Dataset, tracesPerBlock int) error {
 	return trace.WriteBinaryBlocks(w, ds, tracesPerBlock)
@@ -106,20 +79,6 @@ func WriteTracesBinaryBlocks(w io.Writer, ds *Dataset, tracesPerBlock int) error
 // <= 0 selects the default block size.
 func WriteTracesBinaryBlocksV4(w io.Writer, ds *Dataset, tracesPerBlock int) error {
 	return trace.WriteBinaryBlocksV4(w, ds, tracesPerBlock)
-}
-
-// TraceStream reads binary-format traces one at a time; pair it with a
-// Collector to process corpora larger than memory.
-type TraceStream = trace.BinaryReader
-
-// NewTraceStream opens a binary trace stream with strict decoding.
-func NewTraceStream(r io.Reader) (*TraceStream, error) { return trace.NewBinaryReader(r) }
-
-// NewTraceStreamOpts opens a binary trace stream with explicit
-// corrupt-input handling options (permissive block skipping,
-// decode-health counters).
-func NewTraceStreamOpts(r io.Reader, opt DecodeOptions) (*TraceStream, error) {
-	return trace.NewBinaryReaderOpts(r, opt)
 }
 
 // ReadRIB parses RIB dumps ("collector|prefix|as-path" lines) and builds

@@ -2,8 +2,11 @@ package mapit_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,57 +63,89 @@ func TestFileReaders(t *testing.T) {
 	}
 }
 
+// TestTraceFormatAutodetect writes one dataset in every trace format
+// and reads it back through ReadTraces and ReadTracesFile: both must
+// sniff the format and return the traces written, timestamps included.
 func TestTraceFormatAutodetect(t *testing.T) {
 	ds, err := mapit.ReadTraces(strings.NewReader(testTraces))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// JSONL.
-	var jbuf bytes.Buffer
-	if err := mapit.WriteTracesJSON(&jbuf, ds); err != nil {
-		t.Fatal(err)
-	}
-	jsonPath := writeTemp(t, "traces.jsonl", jbuf.String())
-	back, err := mapit.ReadTracesFile(jsonPath)
-	if err != nil || len(back.Traces) != len(ds.Traces) {
-		t.Fatalf("JSONL autodetect: %v, %d traces", err, len(back.Traces))
+	// v4 needs non-decreasing times; repeats exercise zero deltas.
+	timed := &mapit.Dataset{Traces: slices.Clone(ds.Traces)}
+	for i := range timed.Traces {
+		timed.Traces[i].Time = 1_700_000_000 + int64(i/2)*30
 	}
 
-	// Binary.
-	var bbuf bytes.Buffer
-	if err := mapit.WriteTracesBinary(&bbuf, ds); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		want  *mapit.Dataset
+		write func(io.Writer, *mapit.Dataset) error
+	}{
+		{"text", ds, mapit.WriteTraces},
+		{"jsonl", timed, mapit.WriteTracesJSON},
+		{"v2", ds, mapit.WriteTracesBinary},
+		{"v3", ds, func(w io.Writer, d *mapit.Dataset) error { return mapit.WriteTracesBinaryBlocks(w, d, 2) }},
+		{"v4", timed, func(w io.Writer, d *mapit.Dataset) error { return mapit.WriteTracesBinaryBlocksV4(w, d, 2) }},
+	} {
+		var buf bytes.Buffer
+		if err := tc.write(&buf, tc.want); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		path := filepath.Join(t.TempDir(), "traces."+tc.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := mapit.ReadTraces(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Errorf("%s: ReadTraces: %v", tc.name, err)
+		} else {
+			sameTraces(t, tc.name+"/ReadTraces", tc.want, got)
+		}
+		if got, err := mapit.ReadTracesFile(path); err != nil {
+			t.Errorf("%s: ReadTracesFile: %v", tc.name, err)
+		} else {
+			sameTraces(t, tc.name+"/ReadTracesFile", tc.want, got)
+		}
 	}
-	binPath := filepath.Join(t.TempDir(), "traces.bin")
-	if err := os.WriteFile(binPath, bbuf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back2, err := mapit.ReadTracesFile(binPath)
-	if err != nil || len(back2.Traces) != len(ds.Traces) {
-		t.Fatalf("binary autodetect: %v, %d traces", err, len(back2.Traces))
-	}
+}
 
-	// Binary stream API.
-	stream, err := mapit.NewTraceStream(bytes.NewReader(bbuf.Bytes()))
+// TestReadTracesStrict: ReadTraces decodes strictly, so a truncated
+// block fails the read, while DecodeTraces in permissive mode skips it.
+func TestReadTracesStrict(t *testing.T) {
+	ds, err := mapit.ReadTraces(strings.NewReader(testTraces))
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := stream.Next()
-	if err != nil || first.Monitor != ds.Traces[0].Monitor {
-		t.Fatalf("stream Next: %v, %+v", err, first)
+	var buf bytes.Buffer
+	if err := mapit.WriteTracesBinaryBlocks(&buf, ds, 2); err != nil {
+		t.Fatal(err)
 	}
+	bad := buf.Bytes()[:buf.Len()-3] // cut the last block short
+	var ce *mapit.CorruptError
+	if _, err := mapit.ReadTraces(bytes.NewReader(bad)); !errors.As(err, &ce) {
+		t.Fatalf("ReadTraces on a truncated block: err = %v, want CorruptError", err)
+	}
+	var stats mapit.DecodeStats
+	n, err := mapit.DecodeTraces(bytes.NewReader(bad), mapit.DecodeOptions{Permissive: true, Stats: &stats},
+		func(mapit.Trace) error { return nil })
+	if err != nil || stats.BlocksSkipped != 1 || n != len(ds.Traces)-1 {
+		t.Fatalf("permissive DecodeTraces: n=%d err=%v stats=%+v", n, err, stats)
+	}
+}
 
-	// The three decoders agree hop-for-hop.
-	for i := range ds.Traces {
-		a, b, c := ds.Traces[i], back.Traces[i], back2.Traces[i]
-		if a.Dst != b.Dst || a.Dst != c.Dst || len(a.Hops) != len(b.Hops) || len(a.Hops) != len(c.Hops) {
-			t.Fatalf("codec divergence at trace %d", i)
-		}
-		for j := range a.Hops {
-			if a.Hops[j] != b.Hops[j] || a.Hops[j] != c.Hops[j] {
-				t.Fatalf("codec divergence at trace %d hop %d", i, j)
-			}
+// sameTraces requires got to hold want's traces in order: monitor,
+// destination, timestamp and every hop.
+func sameTraces(t *testing.T, label string, want, got *mapit.Dataset) {
+	t.Helper()
+	if len(got.Traces) != len(want.Traces) {
+		t.Errorf("%s: %d traces, want %d", label, len(got.Traces), len(want.Traces))
+		return
+	}
+	for i, w := range want.Traces {
+		g := got.Traces[i]
+		if g.Monitor != w.Monitor || g.Dst != w.Dst || g.Time != w.Time || !slices.Equal(g.Hops, w.Hops) {
+			t.Errorf("%s: trace %d = %+v, want %+v", label, i, g, w)
+			return
 		}
 	}
 }

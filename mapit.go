@@ -107,18 +107,16 @@ func ParsePrefix(s string) (Prefix, error) { return inet.ParsePrefix(s) }
 // ParseASN parses "64500" or "AS64500".
 func ParseASN(s string) (ASN, error) { return inet.ParseASN(s) }
 
-// Infer runs MAP-IT over a raw trace dataset: it sanitises the traces
-// (§4.1, parallelised across cfg.Workers) and executes the multipass
-// algorithm (§4.2–§4.8).
+// Infer runs MAP-IT over a raw trace dataset: it streams the traces
+// through the parallel collector, which sanitises them (§4.1) across
+// cfg.Workers and distils the evidence, and executes the multipass
+// algorithm (§4.2–§4.8) — the same ingest path as the CLI.
 func Infer(ds *Dataset, cfg Config) (*Result, error) {
-	return core.Run(ds.SanitizeParallel(cfg.Workers), cfg)
-}
-
-// InferSanitized runs MAP-IT over an already-sanitised dataset, for
-// callers that need the sanitisation statistics or reuse the dataset
-// across configurations (parameter sweeps).
-func InferSanitized(s *Sanitized, cfg Config) (*Result, error) {
-	return core.Run(s, cfg)
+	c := core.NewParallelCollector(cfg.Workers)
+	for _, t := range ds.Traces {
+		c.Add(t)
+	}
+	return core.RunEvidence(c.Evidence(), cfg)
 }
 
 // Streaming ingestion: month-scale corpora (the paper processes 733M
@@ -127,7 +125,7 @@ func InferSanitized(s *Sanitized, cfg Config) (*Result, error) {
 // one at a time and run MAP-IT over the collected Evidence.
 type (
 	// Collector accumulates evidence incrementally without retaining
-	// traces.
+	// traces, on one goroutine and in memory.
 	Collector = core.Collector
 	// ParallelCollector is a sharded Collector that sanitises and
 	// deduplicates across worker goroutines with byte-identical output.
@@ -153,14 +151,11 @@ func NewParallelCollector(workers int) *ParallelCollector {
 	return core.NewParallelCollector(workers)
 }
 
-// NewCollectorSpill returns a streaming collector that spills evidence
-// past cfg's memory budget to disk. Output is byte-identical to the
-// in-memory collector; call Finish (not Evidence) to observe spill I/O
-// errors, and Close to remove the segment files.
-func NewCollectorSpill(cfg SpillConfig) *Collector { return core.NewCollectorSpill(cfg) }
-
 // NewParallelCollectorSpill is NewParallelCollector with an out-of-core
-// spill budget (see NewCollectorSpill).
+// spill budget: evidence past cfg's memory budget spills to disk, with
+// output byte-identical to the in-memory collector. Call Finish (not
+// Evidence) to observe spill I/O errors, and Close to remove the
+// segment files.
 func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector {
 	return core.NewParallelCollectorSpill(workers, cfg)
 }
@@ -169,13 +164,6 @@ func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector 
 func InferEvidence(ev *Evidence, cfg Config) (*Result, error) {
 	return core.RunEvidence(ev, cfg)
 }
-
-// EvidenceFrom distils an already-sanitised dataset into algorithm
-// evidence, for callers that want both the evidence (e.g. to compile a
-// query snapshot with a monitor index) and the inference result —
-// InferEvidence(EvidenceFrom(s), cfg) is identical to
-// InferSanitized(s, cfg).
-func EvidenceFrom(s *Sanitized) *Evidence { return core.EvidenceFrom(s) }
 
 // Serving: repeated queries against a finished (or converging) run go
 // through a compiled snapshot — an immutable columnar view with
