@@ -43,7 +43,7 @@
 // inferences print through the normal output paths.
 //
 // -audit runs the runtime invariant auditor alongside the inference:
-// at every fixpoint step boundary the incremental machinery is
+// at every fixpoint step boundary the maintained state is
 // cross-checked against first-principles recomputation ("sampled"
 // checks a rotating stride of each structure, "exhaustive" checks
 // everything). Violations print to stderr and exit non-zero.

@@ -3,12 +3,12 @@
 // Violation records the engine emits when an invariant fails, and the
 // Report that travels with the run result.
 //
-// The auditor cross-checks the incremental fixpoint machinery against
+// The auditor cross-checks the fixpoint's maintained state against
 // first principles at every step boundary — the maintained state
-// fingerprint against a from-scratch recomputation, memoised elections
-// and IP→AS resolutions against fresh ones, the dense intern index
-// against the authoritative maps, and the add/remove fixpoints against
-// a full re-election. The checks themselves live in internal/core
+// fingerprint against a from-scratch recomputation, memoised IP→AS
+// resolutions against fresh ones, the dense intern index and flat
+// mirrors against the authoritative maps, and the add/remove fixpoints
+// against a full re-election. The checks themselves live in internal/core
 // (they need the run state); this package is dependency-free so the
 // core, the command, and the test harness can all share the types.
 package audit
@@ -32,7 +32,7 @@ const (
 	Sampled
 	// Exhaustive checks everything at every checkpoint: every eligible
 	// half is re-elected from scratch, every memo entry re-resolved.
-	// Each checkpoint costs about one full non-incremental pass.
+	// Each checkpoint costs about one add pass.
 	Exhaustive
 )
 

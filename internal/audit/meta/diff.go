@@ -163,27 +163,6 @@ func DiffSpill(pl *Pipeline) error {
 	return nil
 }
 
-// DiffIncremental runs the incremental dirty-set engine against the
-// full-rescan engine (DisableIncremental) and requires identical
-// Results — the dirty set changes what is scanned, never what is
-// inferred.
-func DiffIncremental(pl *Pipeline) error {
-	base, err := pl.Baseline()
-	if err != nil {
-		return err
-	}
-	cfg := pl.Config()
-	cfg.DisableIncremental = true
-	full, err := core.Run(pl.Env.Sanitized, cfg)
-	if err != nil {
-		return err
-	}
-	if err := EqualResults(base, full); err != nil {
-		return fmt.Errorf("incremental vs full rescan: %w", err)
-	}
-	return nil
-}
-
 // DiffWorkers runs the engine at Workers = 1, 2 and NumCPU and requires
 // every Result to equal the pipeline baseline. Workers only shards the
 // state build and the election scans; double-buffered updates and

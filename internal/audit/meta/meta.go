@@ -9,8 +9,8 @@
 //
 //   - differential oracles: independent implementations of the same
 //     pipeline stage (serial vs parallel ingest, out-of-core spilling
-//     vs in-memory collection, incremental vs full-rescan fixpoint,
-//     trie vs compiled LPM, binary format round-trips, sliding-window
+//     vs in-memory collection, serial vs sharded fixpoint scans, trie
+//     vs compiled LPM, binary format round-trips, sliding-window
 //     streaming vs from-scratch batch runs) whose Results must be
 //     byte-identical.
 //

@@ -101,7 +101,6 @@ func TestDifferentialOracles(t *testing.T) {
 				}{
 					{"ingest", DiffIngest},
 					{"spill", DiffSpill},
-					{"incremental", DiffIncremental},
 					{"lpm", DiffLPM},
 					{"binary-roundtrip", DiffBinaryRoundTrip},
 					{"workers", DiffWorkers},

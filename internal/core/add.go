@@ -8,27 +8,14 @@ import (
 // other-side updates + contradiction resolution, each pass reading only
 // the state committed by the previous pass. first selects whether the
 // Fig 7 stage hooks fire (they describe the *initial* add step only).
-//
-// The first pass scans every eligible half — that is what gives each
-// add step its committed-state §4.4.5 semantics regardless of what the
-// previous step left behind. Every later pass scans only the dirty
-// set: halves whose election inputs changed since they were last
-// scanned (see dirty.go for the invariant). With DisableIncremental
-// every pass scans everything, which is the pre-incremental behaviour;
-// both modes produce byte-identical state.
+// Every pass scans every eligible half against the committed state,
+// which is what gives each pass its §4.4.5 semantics regardless of
+// what the previous pass or step left behind.
 func (st *runState) addStep(first bool) {
-	st.dirty.clear()
 	firstPass := true
 	for {
 		st.diag.AddPasses++
-		var scanList []int32
-		if firstPass || st.cfg.DisableIncremental {
-			st.dirty.clear()
-			scanList = st.idx.halvesIdx
-		} else {
-			scanList = st.takeDirty()
-		}
-		added := st.directPass(scanList)
+		added := st.directPass()
 		if first && firstPass {
 			st.fireStage(StageDirect, 0)
 		}
@@ -60,12 +47,11 @@ func (st *runState) scanHalf(hi int32, sc *electScratch) (directInf, bool) {
 	if st.inferredOnce[hi] {
 		return directInf{}, false
 	}
-	return st.scanHalfElect(hi, st.electCached(hi, sc))
+	return st.scanHalfElect(hi, st.electNeighborAS(hi, sc))
 }
 
 // scanHalfElect is the election-consuming tail of scanHalf, split out so
-// the auditor can re-run the §4.4.1 tests against a from-scratch
-// election instead of the memoised one.
+// the auditor can re-run the §4.4.1 tests with its own election scratch.
 func (st *runState) scanHalfElect(hi int32, elect countResult) (directInf, bool) {
 	if elect.winnerOrg < 0 {
 		return directInf{}, false
@@ -91,19 +77,19 @@ type pendingAdd struct {
 	d  directInf
 }
 
-// directPass is Alg 2: one pass over scanList making direct inferences
-// against the committed mappings, then committing the new inferences
-// and their other-side (indirect) updates so they become visible to the
-// next pass. scanList must be sorted (half indexes order exactly like
-// halfCmp): the full halvesIdx list for a full pass, the drained dirty
-// set otherwise. Returns the number of inferences added.
+// directPass is Alg 2: one pass over every eligible half (halvesIdx,
+// in halfCmp order) making direct inferences against the committed
+// mappings, then committing the new inferences and their other-side
+// (indirect) updates so they become visible to the next pass. Returns
+// the number of inferences added.
 //
 // The scan reads only committed state, so it shards across cfg.Workers
 // goroutines; per-shard results are concatenated in shard order,
 // keeping the commit order — and therefore the run — identical to the
 // serial execution. Shard buffers and the merged adds slice persist on
 // the runState and are reused across passes.
-func (st *runState) directPass(scanList []int32) int {
+func (st *runState) directPass() int {
+	scanList := st.idx.halvesIdx
 	shards := resetShards(&st.addShards, numChunks(len(scanList), st.cfg.workers()))
 	parallelChunks(len(scanList), st.cfg.workers(), func(w, lo, hi int) {
 		sc := &st.electScr[w]
@@ -283,18 +269,14 @@ func (st *runState) resolveInverseInferences() bool {
 	}
 	ix := &st.idx
 	changed := false
-	fwd := st.resolveScratch[:0]
+	// The loop below only discards or flags backward inferences and
+	// flags the current forward one, so filtering the forward,
+	// not-yet-uncertain halves as it goes sees the pre-loop state.
 	for _, hi := range st.directScan() {
-		if hi&1 == 0 && !st.dirUnc[hi] {
-			fwd = append(fwd, hi)
+		if hi&1 != 0 || st.dirUnc[hi] {
+			continue
 		}
-	}
-	st.resolveScratch = fwd
-	for _, hi := range fwd {
 		dc := st.dirConnID[hi]
-		if dc < 0 {
-			continue // discarded earlier in this resolution
-		}
 		dl := st.dirLocalID[hi]
 		// Forward halves are eligible, so the flat neighbour range is
 		// exactly N_F; entries are the backward halves of the members

@@ -16,11 +16,11 @@ const (
 )
 
 // runAuditor executes the runtime invariant audit at fixpoint step
-// boundaries, cross-checking the incremental machinery against first
+// boundaries, cross-checking the maintained state against first
 // principles. Every checkpoint runs from serial fixpoint code between
 // steps, so the checks may read any state freely; none of them mutate
-// anything the algorithm observes (sortedDirectIdxs compaction is the
-// one state-touching call, and it is semantically idempotent).
+// anything the algorithm observes (directScan refills a scratch buffer
+// that every caller rebuilds before reading).
 //
 // See DESIGN.md §10 for the invariant catalogue.
 type runAuditor struct {
@@ -62,12 +62,8 @@ func (st *runState) auditCheckpoint(stage string, iter int) {
 		return
 	}
 	a.report.Steps++
-	if a.report.Steps == 1 {
-		st.auditIndexSymmetry(stage, iter)
-	}
 	st.auditStateHash(stage, iter)
 	st.auditInterning(stage, iter)
-	st.auditDirtyDrained(stage, iter)
 	st.auditMirrors(stage, iter)
 	st.auditMemoIP2AS(stage, iter)
 	st.auditBacking(stage, iter)
@@ -82,52 +78,6 @@ func (st *runState) auditFinish() {
 	}
 	a.report.Sort()
 	st.diag.AuditViolations = a.report.Total()
-}
-
-// auditIndexSymmetry verifies the half-election symmetry of the static
-// intern index, once per run (the index is immutable after build): for
-// every eligible half h, each non-IXP entry n in h's flat neighbour
-// range must list h among its reverse dependents — h's election reads
-// n's mapping, so a commit to n must be able to find h — and every
-// reverse dependent recorded for a half must actually read it.
-func (st *runState) auditIndexSymmetry(stage string, iter int) {
-	a, ix := st.auditor, &st.idx
-	stride, off := a.stride()
-	contains := func(list []int32, x int32) bool {
-		for _, v := range list {
-			if v == x {
-				return true
-			}
-		}
-		return false
-	}
-	for k := off; k < int32(len(ix.halvesIdx)); k += stride {
-		hi := ix.halvesIdx[k]
-		for _, ni := range ix.nbrFlat[ix.nbrOff[hi]:ix.nbrOff[hi+1]] {
-			if ni < 0 {
-				continue // IXP member: no votes, no dependency edge
-			}
-			a.check()
-			deps := ix.depFlat[ix.depOff[ni]:ix.depOff[ni+1]]
-			if !contains(deps, hi) {
-				a.violate("index-symmetry", stage, iter,
-					"half %v reads %v but is missing from its dependents",
-					st.halfAt(hi), st.halfAt(ni))
-			}
-		}
-	}
-	// Reverse direction: every dependency edge corresponds to a read.
-	for x := off; x < int32(len(st.addrs))*2; x += stride {
-		for _, dep := range ix.depFlat[ix.depOff[x]:ix.depOff[x+1]] {
-			a.check()
-			nbrs := ix.nbrFlat[ix.nbrOff[dep]:ix.nbrOff[dep+1]]
-			if !contains(nbrs, x) {
-				a.violate("index-symmetry", stage, iter,
-					"half %v listed as dependent of %v but never reads it",
-					st.halfAt(dep), st.halfAt(x))
-			}
-		}
-	}
 }
 
 // auditStateHash checks the O(1) group-sum fingerprint every mutation
@@ -178,49 +128,13 @@ func (st *runState) auditInterning(stage string, iter int) {
 	}
 }
 
-// auditDirtyDrained checks dirty-set bookkeeping: the mark array and
-// the list agree exactly, and — at add/remove step boundaries, where
-// the step just ran its internal loop to fixpoint — the set is empty
-// (the final, non-mutating pass of a converged step marks nothing).
-// The final checkpoint runs after the stub heuristic, whose commits
-// legitimately mark readers dirty, so only internal consistency is
-// checked there; SinglePass aborts the add step mid-flight, so its
-// boundary check is skipped too.
-func (st *runState) auditDirtyDrained(stage string, iter int) {
-	a, ds := st.auditor, &st.dirty
-	a.check()
-	marked := 0
-	for _, m := range ds.mark {
-		if m {
-			marked++
-		}
-	}
-	listed := 0
-	for _, idx := range ds.list {
-		if ds.mark[idx] {
-			listed++
-		} else {
-			a.violate("dirty-set", stage, iter,
-				"half %v listed dirty but not marked", st.halfAt(idx))
-		}
-	}
-	if marked != listed {
-		a.violate("dirty-set", stage, iter,
-			"%d halves marked dirty but only %d listed", marked, listed)
-	}
-	if stage != auditStageFinal && !st.cfg.SinglePass {
-		a.check()
-		if len(ds.list) != 0 {
-			a.violate("dirty-set", stage, iter,
-				"dirty set holds %d halves at a converged step boundary", len(ds.list))
-		}
-	}
-}
-
 // auditMirrors checks the flat inference-state mirrors against the
 // authoritative Half-keyed maps, the committed-mapping view against
-// mapping(), and the maintained sorted direct index against a
-// from-scratch collection.
+// mapping(), and — at add/remove step boundaries — the directScan list
+// the resolutions and remove passes iterate against a from-scratch
+// collection of the direct map. The final checkpoint skips that last
+// check: it runs after the §4.8 stub heuristic, whose inferences sit on
+// non-eligible halves directScan never visits.
 func (st *runState) auditMirrors(stage string, iter int) {
 	a, ix := st.auditor, &st.idx
 	stride, off := a.stride()
@@ -280,20 +194,20 @@ func (st *runState) auditMirrors(stage string, iter int) {
 			}
 		}
 	}
-	// Maintained sorted direct index vs a from-scratch collection.
-	if !st.cfg.DisableIncremental {
-		a.check()
-		got := st.sortedDirectIdxs()
-		want := make([]int32, 0, len(st.direct))
-		for h := range st.direct {
-			want = append(want, st.halfIdx(h))
-		}
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			a.violate("mirror", stage, iter,
-				"maintained direct index has %d entries, authoritative map %d (or order diverges)",
-				len(got), len(want))
-		}
+	if stage == auditStageFinal {
+		return
+	}
+	a.check()
+	got := st.directScan()
+	want := make([]int32, 0, len(st.direct))
+	for h := range st.direct {
+		want = append(want, st.halfIdx(h))
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		a.violate("mirror", stage, iter,
+			"directScan lists %d halves, authoritative map %d (or order diverges)",
+			len(got), len(want))
 	}
 }
 
@@ -366,14 +280,11 @@ func (st *runState) auditBacking(stage string, iter int) {
 
 // auditElections is the first-principles re-election sweep: for each
 // (sampled) eligible half it recounts the §4.4.1 election from the
-// committed mappings — bypassing the memo — and checks
+// committed mappings with the auditor's own scratch, and checks
 //
-//   - election-memo: a memo entry still marked valid must equal the
-//     fresh election (a stale-valid entry is exactly a missed
-//     markDirtyReaders, i.e. a dirty-set soundness hole);
 //   - add-fixpoint (add-step boundaries): no half the step left
-//     uninferred would pass the direct-inference test — the dirty-set
-//     scan really did reach every half whose inputs changed;
+//     uninferred would pass the direct-inference test — the step really
+//     ran to convergence;
 //   - retention (remove-step boundaries): every surviving non-stub
 //     direct inference still satisfies the §4.5 criterion.
 func (st *runState) auditElections(stage string, iter int) {
@@ -382,15 +293,6 @@ func (st *runState) auditElections(stage string, iter int) {
 	for k := off; k < int32(len(ix.halvesIdx)); k += stride {
 		hi := ix.halvesIdx[k]
 		fresh := st.electNeighborAS(hi, &a.sc)
-		if !st.cfg.DisableIncremental && ix.electValid[hi] {
-			a.check()
-			if cached := ix.electCache[hi]; cached != fresh {
-				a.violate("election-memo", stage, iter,
-					"half %v: memo (org=%d conn=%d votes=%d) != fresh (org=%d conn=%d votes=%d)",
-					st.halfAt(hi), cached.winnerOrg, cached.connected, cached.votes,
-					fresh.winnerOrg, fresh.connected, fresh.votes)
-			}
-		}
 		switch {
 		case stage == auditStageAdd && !st.cfg.SinglePass:
 			if st.dirConnID[hi] < 0 && !st.inferredOnce[hi] {

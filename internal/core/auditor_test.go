@@ -75,17 +75,16 @@ func TestAuditCleanTopoSweep(t *testing.T) {
 
 // TestAuditQuickCleanAblations: exhaustive audits stay clean on
 // arbitrary random evidence across the ablation grid the checks
-// special-case (SinglePass, WholeInterfaceUpdates, DisableIncremental,
-// DisableRemoveStep, the f sweep).
+// special-case (SinglePass, WholeInterfaceUpdates, DisableRemoveStep,
+// the f sweep).
 func TestAuditQuickCleanAblations(t *testing.T) {
-	f := func(hops []uint16, fRaw uint8, wiu, single, noInc, noRemove bool) bool {
+	f := func(hops []uint16, fRaw uint8, wiu, single, noRemove bool) bool {
 		s := randEvidence(hops)
 		r, err := Run(s, Config{
 			IP2AS:                 quickIP2AS(),
 			F:                     float64(fRaw%11) / 10,
 			WholeInterfaceUpdates: wiu,
 			SinglePass:            single,
-			DisableIncremental:    noInc,
 			DisableRemoveStep:     noRemove,
 			Audit:                 exhaustiveChecker(),
 		})
@@ -140,8 +139,8 @@ func TestAuditSampledMode(t *testing.T) {
 }
 
 // auditFixture builds a converged runState with exhaustive auditing that
-// carries at least one direct inference, one override, and a warm
-// election memo — the raw material the injection tests corrupt.
+// carries at least one direct inference and one override — the raw
+// material the injection tests corrupt.
 func auditFixture(t *testing.T) *runState {
 	t.Helper()
 	ip2as := table(
@@ -176,8 +175,8 @@ func hasViolation(r *audit.Report, check string) bool {
 	return false
 }
 
-// TestAuditDetectsCorruption: each corruption of the incremental
-// machinery is caught by the check built for it. The checkpoint runs at
+// TestAuditDetectsCorruption: each corruption of the maintained state
+// is caught by the check built for it. The checkpoint runs at
 // the "final" stage, whose checks do not depend on step-boundary
 // conditions the manual corruption would also disturb.
 func TestAuditDetectsCorruption(t *testing.T) {
@@ -205,15 +204,6 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			}
 			t.Fatal("no memo entry to corrupt")
 		}},
-		{"election-memo", func(t *testing.T, st *runState) {
-			for hi, ok := range st.idx.electValid {
-				if ok {
-					st.idx.electCache[hi].votes += 1000
-					return
-				}
-			}
-			t.Fatal("no valid election memo entry to corrupt")
-		}},
 		{"backing", func(t *testing.T, st *runState) {
 			for hi := range st.dirConnID {
 				h := st.halfAt(int32(hi))
@@ -226,9 +216,6 @@ func TestAuditDetectsCorruption(t *testing.T) {
 				}
 			}
 			t.Fatal("no inference-free half to plant an override on")
-		}},
-		{"dirty-set", func(t *testing.T, st *runState) {
-			st.dirty.list = append(st.dirty.list, 0)
 		}},
 		{"interning", func(t *testing.T, st *runState) {
 			st.idx.asnOf[0]++
@@ -303,11 +290,45 @@ func TestAuditBoundaryChecks(t *testing.T) {
 		st.unsetDirectIdx(h, hi)
 		st.recomputeOverride(h)
 		st.inferredOnce[hi] = false
-		st.dirty.clear()
 		st.auditCheckpoint(auditStageAdd, 9)
 		if !hasViolation(st.auditor.report, "add-fixpoint") {
 			t.Fatalf("expected an add-fixpoint violation, got %v", st.auditor.report.Violations)
 		}
+	})
+	t.Run("direct-scan", func(t *testing.T) {
+		st := auditFixture(t)
+		// Plant a direct record on a non-eligible half through the real
+		// funnel, so the map, the mirrors and the fingerprint all agree:
+		// only directScan, which walks the eligible halves, misses it.
+		var hi int32 = -1
+		for i := int32(0); i < int32(len(st.dirConnID)); i++ {
+			if st.idx.nbrOff[i+1] == st.idx.nbrOff[i] && st.dirConnID[i] < 0 {
+				hi = i
+				break
+			}
+		}
+		if hi < 0 {
+			t.Fatal("no non-eligible half to plant a record on")
+		}
+		local := st.idx.mapID[hi]
+		d := directInf{localID: local, connected: st.idx.asnOf[0], connectedID: 0}
+		if local >= 0 {
+			d.local = st.idx.asnOf[local]
+		}
+		st.setDirect(st.halfAt(hi), hi, st.newDirectInf(d))
+		// The final checkpoint skips the check: §4.8 stub inferences
+		// legitimately sit on non-eligible halves after the loop.
+		st.auditCheckpoint(auditStageFinal, 9)
+		if !st.auditor.report.Ok() {
+			t.Fatalf("final checkpoint flagged the planted record: %v", st.auditor.report.Violations)
+		}
+		st.auditCheckpoint(auditStageAdd, 9)
+		for _, v := range st.auditor.report.Violations {
+			if v.Check == "mirror" && strings.HasPrefix(v.Detail, "directScan") {
+				return
+			}
+		}
+		t.Fatalf("expected a directScan mirror violation, got %v", st.auditor.report.Violations)
 	})
 }
 

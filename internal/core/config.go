@@ -77,13 +77,6 @@ type Config struct {
 	// order. Zero or one means serial.
 	Workers int
 
-	// DisableIncremental forces every pass of the add and remove steps
-	// to rescan all eligible halves instead of only the dirty set
-	// (halves whose election inputs changed since their last scan).
-	// A/B escape hatch: results are byte-identical either way, the
-	// incremental default is just faster. See DESIGN.md §6.
-	DisableIncremental bool
-
 	// DisableStubHeuristic turns off §4.8 even when Rels is present.
 	DisableStubHeuristic bool
 
@@ -126,10 +119,10 @@ type Config struct {
 	SpillStats *SpillStats
 
 	// Audit, when enabled, runs the runtime invariant auditor at every
-	// fixpoint step boundary: the incremental machinery (dirty set,
-	// election memo, maintained state fingerprint, IP→AS memo, intern
-	// index and flat mirrors) is cross-checked against first-principles
-	// recomputation. Violations are collected into Result.Audit and
+	// fixpoint step boundary: the maintained state (state fingerprint,
+	// IP→AS memo, intern index and flat mirrors) is cross-checked
+	// against first-principles recomputation, and each step's result
+	// against a from-scratch election. Violations are collected into Result.Audit and
 	// counted in Result.Diag.AuditViolations; a clean audited run is
 	// byte-identical to an unaudited one. See DESIGN.md §10.
 	Audit *audit.Checker

@@ -7,23 +7,14 @@ import (
 	"mapit/internal/topo"
 )
 
-// BenchmarkFixpointFull / BenchmarkFixpointIncremental time the
-// §4.4–§4.6 fixpoint loop alone (evidence collection and state build
-// excluded via StopTimer) on small and medium synthetic topologies,
-// with the dirty-set engine off and on. Both engines produce identical
-// results (TestIncrementalEquivalenceTopo); the delta is pure scan
-// savings: the full engine re-elects every eligible half on every pass
-// of every add step and every direct inference on every pass of every
-// remove step, the incremental engine re-elects only halves whose
-// election inputs changed after the first pass of each step.
+// BenchmarkFixpoint times the §4.4–§4.6 fixpoint loop alone (evidence
+// collection and state build excluded via StopTimer) on small and
+// medium synthetic topologies: every add pass re-elects every eligible
+// half, every remove pass every direct inference.
 //
-// CI runs these with -benchtime=1x as a smoke test and snapshots the
+// CI runs it with -benchtime=1x as a smoke test and snapshots the
 // numbers to BENCH_fixpoint.json (see internal/tools/benchjson).
-
-func BenchmarkFixpointFull(b *testing.B)        { benchFixpoint(b, true) }
-func BenchmarkFixpointIncremental(b *testing.B) { benchFixpoint(b, false) }
-
-func benchFixpoint(b *testing.B, disableIncremental bool) {
+func BenchmarkFixpoint(b *testing.B) {
 	sizes := []struct {
 		name  string
 		gen   topo.GenConfig
@@ -42,8 +33,7 @@ func benchFixpoint(b *testing.B, disableIncremental bool) {
 			ds := w.GenTraces(tc)
 			orgs, rels, dir := w.PublicInputs(topo.DefaultNoiseConfig())
 			cfg := Config{IP2AS: w.Table(), Orgs: orgs, Rels: rels, IXP: dir,
-				F: 0.5, Workers: runtime.GOMAXPROCS(0),
-				DisableIncremental: disableIncremental}
+				F: 0.5, Workers: runtime.GOMAXPROCS(0)}
 			ev := EvidenceFrom(ds.Sanitize())
 			b.ReportAllocs()
 			b.ResetTimer()

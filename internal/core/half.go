@@ -59,7 +59,7 @@ func (h Half) String() string {
 func (h Half) Opposite() Half { return Half{Addr: h.Addr, Dir: h.Dir.Opposite()} }
 
 // halfSlot packs an address index and a direction into the dense half
-// index the intern index and dirty set are keyed by (see internIndex).
+// index the intern index and flat mirrors are keyed by (see internIndex).
 // Sorting slots sorts by (address, direction), matching halfCmp.
 func halfSlot(addrIdx int32, d Direction) int32 { return addrIdx*2 + int32(d) }
 

@@ -9,38 +9,36 @@ import (
 	"mapit/internal/topo"
 )
 
-// Equivalence proofs for the incremental dirty-set engine: for any
-// input, the incremental default must produce byte-identical Results —
-// inferences, probe suggestions, and every diagnostic counter
-// (including Add/RemovePasses) — to the full-rescan engine
-// (DisableIncremental). These run under -race in CI, so they double as
-// data-race canaries for the sharded remove-step scan.
+// Worker-count equivalence for the fixpoint's sharded add and remove
+// scans: for any input, a run at the sampled worker count must produce
+// byte-identical Results — inferences, probe suggestions, and every
+// diagnostic counter (including Add/RemovePasses) — to the serial run.
+// These run under -race in CI, so they double as data-race canaries for
+// the sharded scans.
 
-// runBoth executes the same evidence under both engines and reports any
-// divergence.
+// runBoth executes the same evidence serially and at cfg.Workers and
+// reports any divergence.
 func runBoth(t *testing.T, ev *Evidence, cfg Config, label string) {
 	t.Helper()
-	inc := cfg
-	inc.DisableIncremental = false
-	full := cfg
-	full.DisableIncremental = true
-	rI, err := RunEvidence(ev, inc)
+	serial := cfg
+	serial.Workers = 1
+	rS, err := RunEvidence(ev, serial)
 	if err != nil {
-		t.Fatalf("%s: incremental: %v", label, err)
+		t.Fatalf("%s: serial: %v", label, err)
 	}
-	rF, err := RunEvidence(ev, full)
+	rW, err := RunEvidence(ev, cfg)
 	if err != nil {
-		t.Fatalf("%s: full: %v", label, err)
+		t.Fatalf("%s: sharded: %v", label, err)
 	}
-	if !reflect.DeepEqual(rI.Inferences, rF.Inferences) {
-		t.Fatalf("%s: inferences diverge (%d incremental vs %d full)",
-			label, len(rI.Inferences), len(rF.Inferences))
+	if !reflect.DeepEqual(rS.Inferences, rW.Inferences) {
+		t.Fatalf("%s: inferences diverge (%d serial vs %d sharded)",
+			label, len(rS.Inferences), len(rW.Inferences))
 	}
-	if rI.Diag != rF.Diag {
-		t.Fatalf("%s: diagnostics diverge:\nincremental %+v\nfull        %+v",
-			label, rI.Diag, rF.Diag)
+	if rS.Diag != rW.Diag {
+		t.Fatalf("%s: diagnostics diverge:\nserial  %+v\nsharded %+v",
+			label, rS.Diag, rW.Diag)
 	}
-	if !reflect.DeepEqual(rI.ProbeSuggestions, rF.ProbeSuggestions) {
+	if !reflect.DeepEqual(rS.ProbeSuggestions, rW.ProbeSuggestions) {
 		t.Fatalf("%s: probe suggestions diverge", label)
 	}
 }
@@ -59,7 +57,7 @@ func TestIncrementalEquivalenceTopo(t *testing.T) {
 		gen := topo.SmallGenConfig()
 		gen.Seed = seed
 		cases = append(cases,
-			tcase{gen, 400, 0.5, 1},
+			tcase{gen, 400, 0.5, 2},
 			tcase{gen, 400, 0.25, 4},
 			tcase{gen, 400, 0.75, 4},
 		)
@@ -84,7 +82,8 @@ func TestIncrementalEquivalenceTopo(t *testing.T) {
 }
 
 // TestQuickIncrementalEquivalence is the quick-check variant: arbitrary
-// random evidence, f values, and the WholeInterfaceUpdates ablation.
+// random evidence, f values, worker counts, and the
+// WholeInterfaceUpdates ablation.
 func TestQuickIncrementalEquivalence(t *testing.T) {
 	f := func(hops []uint16, fRaw uint8, wiu bool, workers uint8) bool {
 		s := randEvidence(hops)
@@ -94,17 +93,17 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 			WholeInterfaceUpdates: wiu,
 			Workers:               int(workers % 5),
 		}
-		full := cfg
-		full.DisableIncremental = true
-		rI, err := Run(s, cfg)
+		serial := cfg
+		serial.Workers = 1
+		rS, err := Run(s, serial)
 		if err != nil {
 			return false
 		}
-		rF, err := Run(s, full)
+		rW, err := Run(s, cfg)
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(rI, rF)
+		return reflect.DeepEqual(rS, rW)
 	}
 	if err := quick.Check(f, quickCfg(80)); err != nil {
 		t.Fatal(err)

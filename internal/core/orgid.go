@@ -8,8 +8,7 @@ import (
 
 // internIndex is the dense-ID view of a run's state, built once after
 // the neighbour sets: interned ASNs and organisations, the flat
-// neighbour index the §4.4.1 election iterates, and the reverse
-// dependency index the dirty-set engine marks through. All IDs are
+// neighbour index the §4.4.1 election iterates. All IDs are
 // int32; -1 means "absent" (unannounced mapping, IXP neighbour, address
 // outside the interface universe).
 //
@@ -48,13 +47,7 @@ type internIndex struct {
 	nbrOff  []int32
 	nbrFlat []int32
 
-	// Reverse dependency index: depFlat[depOff[h]:depOff[h+1]] lists the
-	// eligible halves whose election reads half h's committed mapping.
-	// Empty for IXP-numbered addresses — elections skip their mappings.
-	depOff  []int32
-	depFlat []int32
-
-	// halvesIdx is st.halves as half indexes — the full-pass scan list.
+	// halvesIdx is st.halves as half indexes — the add passes' scan list.
 	halvesIdx []int32
 
 	// Flat topology mirrors for the per-pass resolution loops:
@@ -67,16 +60,6 @@ type internIndex struct {
 	otherIdx   []int32
 	ixpA       []bool
 	soleFwdNbr []int32
-
-	// Election memo: electCache[h] holds h's last election result and
-	// stays valid until a committed mapping some neighbour of h carries
-	// changes (markDirtyReaders invalidates alongside marking dirty).
-	// Used only by the incremental engine; the full-rescan engine
-	// re-elects from scratch every time. Scan workers fill disjoint
-	// entries (each half appears on one worker's chunk), commits
-	// invalidate serially between passes.
-	electCache []countResult
-	electValid []bool
 }
 
 // halfIdx returns h's dense index, or -1 when h's address is outside the
@@ -124,9 +107,9 @@ func (st *runState) internOrg(canonical inet.ASN) int32 {
 }
 
 // buildIndex constructs the intern index after addrs, neighbour sets,
-// base mappings, and IXP flags are final. The neighbour and dependency
-// flattening is pure per-address work, so it shards across workers into
-// per-chunk partials concatenated in chunk order.
+// base mappings, and IXP flags are final. The neighbour flattening is
+// pure per-address work, so it shards across workers into per-chunk
+// partials concatenated in chunk order.
 func (st *runState) buildIndex() {
 	ix := &st.idx
 	n := len(st.addrs)
@@ -166,11 +149,9 @@ func (st *runState) buildIndex() {
 		ix.mapID[2*i+1] = id
 	}
 
-	// Flatten neighbour lists and reverse dependencies. For half
-	// (a, d) both views walk the same list — N_F(a) forward, N_B(a)
-	// backward — and record the opposite-direction half of each member:
-	// the election reads that half's mapping, and symmetrically that
-	// half's election (when eligible) reads (a, d)'s.
+	// Flatten neighbour lists. For half (a, d) the list is N_F(a)
+	// forward, N_B(a) backward; each member is recorded as its
+	// opposite-direction half, whose mapping the election reads.
 	workers := st.cfg.workers()
 	ix.otherIdx = make([]int32, n)
 	ix.ixpA = make([]bool, n)
@@ -180,14 +161,13 @@ func (st *runState) buildIndex() {
 		ix.soleFwdNbr[i] = -1
 	}
 	type part struct {
-		nbrFlat, depFlat []int32
-		nbrCnt, depCnt   []int32 // per half within the chunk
+		nbrFlat []int32
+		nbrCnt  []int32 // per half within the chunk
 	}
 	parts := make([]part, numChunks(n, workers))
 	parallelChunks(n, workers, func(w, lo, hi int) {
 		p := &parts[w]
 		p.nbrCnt = make([]int32, 2*(hi-lo))
-		p.depCnt = make([]int32, 2*(hi-lo))
 		for i := lo; i < hi; i++ {
 			a := st.addrs[i]
 			ix.ixpA[i] = st.ixpAddr[a]
@@ -217,57 +197,32 @@ func (st *runState) buildIndex() {
 				if d == Forward && len(nbrs) == 1 {
 					ix.soleFwdNbr[i] = ix.idxOfAddr[nbrs[0]]
 				}
-				if st.ixpAddr[a] {
-					continue // elections never read IXP mappings
-				}
-				for _, nb := range nbrs {
-					// The reader half is eligible iff its own
-					// neighbour list (opposite side of nb) has ≥ 2
-					// members.
-					var readerNbrs []inet.Addr
-					if d == Forward {
-						readerNbrs = st.nbrB[nb]
-					} else {
-						readerNbrs = st.nbrF[nb]
-					}
-					if len(readerNbrs) >= 2 {
-						p.depFlat = append(p.depFlat, halfSlot(ix.idxOfAddr[nb], d.Opposite()))
-						p.depCnt[slot]++
-					}
-				}
 			}
 		}
 	})
-	totalNbr, totalDep := 0, 0
+	totalNbr := 0
 	for _, p := range parts {
 		totalNbr += len(p.nbrFlat)
-		totalDep += len(p.depFlat)
 	}
 	ix.nbrOff = make([]int32, 2*n+1)
-	ix.depOff = make([]int32, 2*n+1)
 	ix.nbrFlat = make([]int32, 0, totalNbr)
-	ix.depFlat = make([]int32, 0, totalDep)
 	slot := 0
 	for _, p := range parts {
-		for j := range p.nbrCnt {
-			ix.nbrOff[slot+1] = ix.nbrOff[slot] + p.nbrCnt[j]
-			ix.depOff[slot+1] = ix.depOff[slot] + p.depCnt[j]
+		for _, c := range p.nbrCnt {
+			ix.nbrOff[slot+1] = ix.nbrOff[slot] + c
 			slot++
 		}
 		ix.nbrFlat = append(ix.nbrFlat, p.nbrFlat...)
-		ix.depFlat = append(ix.depFlat, p.depFlat...)
 	}
 
 	ix.halvesIdx = make([]int32, len(st.halves))
 	for i, h := range st.halves {
 		ix.halvesIdx[i] = halfSlot(ix.idxOfAddr[h.Addr], h.Dir)
 	}
-	ix.electCache = make([]countResult, 2*n)
-	ix.electValid = make([]bool, 2*n)
 
 	// Mutable flat mirrors of the inference state (see state.go) and the
-	// dirty set, sized and preallocated here so pass-time work never
-	// allocates: the dirty set can only ever hold eligible halves.
+	// pass buffers, sized and preallocated here so pass-time work never
+	// allocates.
 	st.dirConnID = make([]int32, 2*n)
 	st.dirLocalID = make([]int32, 2*n)
 	st.indirectSrc = make([]int32, 2*n)
@@ -280,9 +235,7 @@ func (st *runState) buildIndex() {
 	st.dirUnc = make([]bool, 2*n)
 	st.severedIdx = make([]bool, n)
 	st.inferredOnce = make([]bool, 2*n)
-	st.dirty.mark = make([]bool, 2*n)
-	st.dirty.list = make([]int32, 0, len(st.halves))
-	st.dirty.scratch = make([]int32, 0, len(st.halves))
+	st.directBuf = make([]int32, 0, len(st.halves))
 	st.electScr = make([]electScratch, workers)
 	for w := range st.electScr {
 		st.electScr[w].ensure(ix.orgCount, len(ix.asnOf))
@@ -298,12 +251,6 @@ func (st *runState) buildIndex() {
 	st.direct = make(map[Half]*directInf, len(st.halves)/2+16)
 	st.indirect = make(map[Half]Half, len(st.halves)/2+16)
 	st.overrides = make(map[Half]inet.ASN, len(st.halves)+16)
-	if !st.cfg.DisableIncremental {
-		// Double buffers of the maintained direct index (sortedDirectIdxs
-		// swaps them); direct inferences only land on eligible halves.
-		st.directIdxs = make([]int32, 0, len(st.halves))
-		st.directMerge = make([]int32, 0, len(st.halves))
-	}
 }
 
 // electScratch is the per-worker reusable state of electNeighborAS:
@@ -336,26 +283,6 @@ type countResult struct {
 	votes int
 	// total is |N| (including unmapped and IXP addresses).
 	total int
-}
-
-// electCached returns the half's election, reusing the memoised result
-// when no neighbour mapping changed since it was computed (the same
-// funnel that feeds the dirty set invalidates the memo, so a valid
-// entry is exactly what a fresh election would return). The full-rescan
-// engine never consults the memo: its contract is to recount
-// everything, every pass.
-func (st *runState) electCached(hi int32, sc *electScratch) countResult {
-	if st.cfg.DisableIncremental {
-		return st.electNeighborAS(hi, sc)
-	}
-	ix := &st.idx
-	if ix.electValid[hi] {
-		return ix.electCache[hi]
-	}
-	res := st.electNeighborAS(hi, sc)
-	ix.electCache[hi] = res
-	ix.electValid[hi] = true
-	return res
 }
 
 // electNeighborAS tallies the half's neighbour set under the committed

@@ -11,10 +11,7 @@ import "slices"
 // direct inference is discarded along with its IP2AS update. Each pass
 // reads only the previous pass's committed state.
 //
-// Like the add step, the first pass re-elects every direct inference
-// (the add step just changed an unknown number of mappings) and later
-// passes re-elect only the dirty set: inferences whose election inputs
-// changed when an earlier pass removed an update. The phase-1 scan is
+// Every pass re-elects every direct inference. The phase-1 scan is
 // read-only against committed state, so it shards across cfg.Workers
 // exactly as directPass does; chunk-ordered concatenation over a sorted
 // scan list keeps the demote order identical to the serial scan.
@@ -22,29 +19,16 @@ func (st *runState) removeStep() {
 	if st.cfg.DisableRemoveStep {
 		return
 	}
-	st.dirty.clear()
-	firstPass := true
 	for {
 		st.diag.RemovePasses++
 		// Phase 1: find direct inferences that no longer hold, against
 		// the committed (previous-pass) state.
-		var scanList []int32
-		if firstPass || st.cfg.DisableIncremental {
-			st.dirty.clear()
-			scanList = st.directScan()
-		} else {
-			scanList = st.takeDirty()
-		}
-		firstPass = false
+		scanList := st.directScan()
 		shards := resetShards(&st.demoteShards, numChunks(len(scanList), st.cfg.workers()))
 		parallelChunks(len(scanList), st.cfg.workers(), func(w, lo, hi int) {
 			sc := &st.electScr[w]
 			for _, hidx := range scanList[lo:hi] {
-				connID := st.dirConnID[hidx]
-				if connID < 0 || st.dirStub[hidx] {
-					continue // no direct here; §4.8 inferences are made after convergence
-				}
-				if !st.stillSupported(hidx, connID, sc) {
+				if !st.stillSupported(hidx, st.dirConnID[hidx], sc) {
 					shards[w] = append(shards[w], hidx)
 				}
 			}
@@ -119,12 +103,12 @@ func (st *runState) removeStep() {
 // rule so add and remove stay symmetric at every f.) connID is the
 // inference's interned connected ASN.
 func (st *runState) stillSupported(hi, connID int32, sc *electScratch) bool {
-	return st.stillSupportedElect(st.electCached(hi, sc), connID)
+	return st.stillSupportedElect(st.electNeighborAS(hi, sc), connID)
 }
 
 // stillSupportedElect is the election-consuming tail of stillSupported,
-// split out so the auditor can recheck retention against a from-scratch
-// election instead of the memoised one.
+// split out so the auditor can recheck retention with its own election
+// scratch.
 func (st *runState) stillSupportedElect(elect countResult, connID int32) bool {
 	if elect.winnerOrg < 0 || elect.winnerOrg != st.idx.orgOfASN[connID] {
 		return false

@@ -55,9 +55,6 @@ type Diagnostics struct {
 	// AddPasses is the total number of direct-inference passes.
 	AddPasses int
 	// RemovePasses is the total number of §4.5 remove-step passes.
-	// Identical for the incremental and full-rescan engines — the
-	// dirty set changes how much of a pass is scanned, never how many
-	// passes run.
 	RemovePasses int
 	// Interfaces counts interface addresses that appeared adjacent to
 	// at least one other address.

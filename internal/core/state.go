@@ -81,12 +81,9 @@ type runState struct {
 	snapSevered int
 	snapInf     []Inference
 
-	// Incremental fixpoint machinery (see orgid.go / dirty.go): the
-	// dense intern index elections run on, the dirty set the add and
-	// remove steps drain, per-worker election scratch, and the reusable
-	// pass buffers of directPass and removeStep.
+	// Fixpoint machinery (see orgid.go): the dense intern index
+	// elections run on and per-worker election scratch.
 	idx      internIndex
-	dirty    dirtySet
 	electScr []electScratch
 
 	// Flat mirrors of the inference state above, indexed by halfIdx and
@@ -106,21 +103,13 @@ type runState struct {
 	indirectSrc []int32
 	severedIdx  []bool
 
-	// directIdxs is the sorted halfIdx view of st.direct, maintained
-	// incrementally: commits append (in sorted batches) to
-	// directPending, removals flag directStale, and sortedDirectIdxs
-	// compacts and merges on demand.
-	directIdxs    []int32
-	directPending []int32
-	directMerge   []int32
-	directStale   bool
-
-	addShards      [][]pendingAdd
-	addsBuf        []pendingAdd
-	demoteShards   [][]int32
-	demoteBuf      []int32
-	purgeBuf       []Half
-	resolveScratch []int32
+	// Reusable pass buffers of directPass, removeStep and directScan.
+	addShards    [][]pendingAdd
+	addsBuf      []pendingAdd
+	demoteShards [][]int32
+	demoteBuf    []int32
+	purgeBuf     []Half
+	directBuf    []int32
 
 	// infBlock is the live slab directInf records are carved from:
 	// commits take the next slot instead of boxing a record per add,
@@ -382,7 +371,7 @@ func directTag(uncertain bool) byte {
 // (authoritative for hasInference and the result), the flat mirrors
 // (what the scan and resolution loops read), and the hashSum
 // fingerprint in lockstep. hi must be h's halfIdx; every inference
-// lands on an eligible — therefore indexed — half.
+// lands on an indexed half (an eligible one, or a §4.8 stub candidate).
 func (st *runState) setDirect(h Half, hi int32, d *directInf) {
 	if old, ok := st.direct[h]; ok {
 		st.hashSum -= entryHash(directTag(old.uncertain), h, uint32(old.connected))
@@ -393,9 +382,6 @@ func (st *runState) setDirect(h Half, hi int32, d *directInf) {
 	st.dirLocalID[hi] = d.localID
 	st.dirStub[hi] = d.stub
 	st.dirUnc[hi] = d.uncertain
-	if !st.cfg.DisableIncremental {
-		st.directPending = append(st.directPending, hi)
-	}
 }
 
 // unsetDirect removes a direct inference from the map and the mirrors.
@@ -416,9 +402,6 @@ func (st *runState) unsetDirectIdx(h Half, hi int32) {
 		st.dirLocalID[hi] = -1
 		st.dirStub[hi] = false
 		st.dirUnc[hi] = false
-		if !st.cfg.DisableIncremental {
-			st.directStale = true
-		}
 	}
 }
 
@@ -472,69 +455,22 @@ func (st *runState) unsetIndirect(h Half) {
 	}
 }
 
-// directScan returns the halves carrying direct inferences in halfCmp
-// order — the iteration base of the §4.4.3/§4.4.4 resolutions and the
-// remove step's full pass. The incremental engine reads the maintained
-// index; with DisableIncremental the list is derived from the
-// authoritative map on every call — a collection, sort, and allocation
-// each time, which is exactly the cost profile of the pre-incremental
-// engine the escape hatch preserves (and one of the costs the
-// maintained index exists to remove).
+// directScan returns the eligible halves carrying direct inferences in
+// halfCmp order — the iteration base of the §4.4.3/§4.4.4 resolutions
+// and of every remove pass — filtered out of halvesIdx into a buffer
+// reused across calls, so each call overwrites the previous result.
+// Inside the fixpoint only directPass creates direct inferences, and it
+// scans halvesIdx, so the list is complete there; the §4.8 stub
+// inferences, which sit on non-eligible halves, are made after the loop.
 func (st *runState) directScan() []int32 {
-	if !st.cfg.DisableIncremental {
-		return st.sortedDirectIdxs()
-	}
-	idxs := make([]int32, 0, len(st.direct))
-	for h := range st.direct {
-		idxs = append(idxs, st.halfIdx(h))
-	}
-	slices.Sort(idxs)
-	return idxs
-}
-
-// sortedDirectIdxs returns the halves carrying direct inferences in
-// halfCmp order. Removals since the last call are swept out (entries
-// whose mirror went -1), then the pending additions — one sorted batch,
-// because every committer appends in scan order and the next resolution
-// stage drains before another batch starts — are merged in. A swept
-// entry that was re-added in the same window survives via the merge
-// dedup, never duplicated.
-func (st *runState) sortedDirectIdxs() []int32 {
-	if st.directStale {
-		out := st.directIdxs[:0]
-		for _, hi := range st.directIdxs {
-			if st.dirConnID[hi] >= 0 {
-				out = append(out, hi)
-			}
+	out := st.directBuf[:0]
+	for _, hi := range st.idx.halvesIdx {
+		if st.dirConnID[hi] >= 0 {
+			out = append(out, hi)
 		}
-		st.directIdxs = out
-		st.directStale = false
 	}
-	if len(st.directPending) > 0 {
-		merged := st.directMerge[:0]
-		a, b := st.directIdxs, st.directPending
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			switch {
-			case a[i] < b[j]:
-				merged = append(merged, a[i])
-				i++
-			case b[j] < a[i]:
-				merged = append(merged, b[j])
-				j++
-			default:
-				merged = append(merged, a[i])
-				i++
-				j++
-			}
-		}
-		merged = append(merged, a[i:]...)
-		merged = append(merged, b[j:]...)
-		st.directMerge = st.directIdxs[:0]
-		st.directIdxs = merged
-		st.directPending = st.directPending[:0]
-	}
-	return st.directIdxs
+	st.directBuf = out
+	return out
 }
 
 // resetInferredOnce clears the once-per-add-step latch (§4.4.5); called
@@ -606,7 +542,7 @@ func (st *runState) discardDirect(h Half) {
 // repeated-state stopping rule. The fingerprint is maintained by the
 // mutation funnels (see hashSum), so reading it is free; the sum is
 // order-independent, so serial and sharded runs — which commit in the
-// same order anyway — and both fixpoint engines agree exactly.
+// same order anyway — agree exactly.
 func (st *runState) stateHash() uint64 {
 	return st.hashSum
 }

@@ -27,9 +27,9 @@ import (
 // evidence is itself maintained incrementally: sorted live adjacency
 // lists (global and per monitor) and the live address set are patched
 // with only the keys whose refcount crossed zero since the last build.
-// Inference re-runs over it — RunEvidence is already incremental inside
-// (dirty-set fixpoint, compiled lookups) — and an Advance over unchanged
-// contents reuses the previous Result without recomputing.
+// Inference re-runs over it in full — a RunEvidence over the live
+// evidence — and an Advance over unchanged contents reuses the previous
+// Result without recomputing.
 
 // WindowOptions configures a sliding inference window.
 type WindowOptions struct {

@@ -3,8 +3,6 @@ package snapshot
 import (
 	"sync"
 	"sync/atomic"
-
-	"mapit/internal/core"
 )
 
 // published pairs a snapshot with the version its publication was
@@ -75,20 +73,4 @@ func (h *Handle) Swap(s *Snapshot) *Snapshot {
 func (h *Handle) Version() uint64 {
 	_, v := h.LoadVersion()
 	return v
-}
-
-// PublishOnStage returns a Config.OnStage hook that compiles the run
-// state into a snapshot at the end of every add/remove iteration and
-// after the final (stub) stage, publishing each into h — the wiring for
-// a query service that follows a converging or live-ingesting run
-// without ever blocking it. ev may be nil (no monitor index). Compose
-// manually if another hook is also needed; setting OnStage pins the run
-// to the monolithic fixpoint (see core.Config.OnStage).
-func PublishOnStage(h *Handle, ev *core.Evidence) func(core.Stage, int, *core.StageSnapshot) {
-	return func(stage core.Stage, _ int, ss *core.StageSnapshot) {
-		if stage != core.StageIteration && stage != core.StageStub {
-			return
-		}
-		h.Swap(Build(ss.Result(), ev))
-	}
 }

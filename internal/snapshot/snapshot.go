@@ -21,8 +21,7 @@
 // query it concurrently with no synchronisation. Handle adds the
 // copy-on-write publication protocol — a live ingest loop builds a new
 // snapshot off to the side and Swaps it in while readers keep draining
-// the old one — and PublishOnStage wires that into a run's
-// Config.OnStage hook. See DESIGN.md §13.
+// the old one. See DESIGN.md §13.
 package snapshot
 
 import (

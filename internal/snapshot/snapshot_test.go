@@ -340,60 +340,6 @@ func TestHandleSwapRace(t *testing.T) {
 	}
 }
 
-// PublishOnStage publishes a converging sequence: by the final stage the
-// handle's snapshot answers exactly like the finished result.
-func TestPublishOnStage(t *testing.T) {
-	table := bgp.EmptyTable()
-	table.Add(inet.MustParsePrefix("109.105.0.0/16"), 2603)
-	table.Add(inet.MustParsePrefix("198.71.0.0/16"), 11537)
-	table.Add(inet.MustParsePrefix("64.57.0.0/16"), 11537)
-	table.Add(inet.MustParsePrefix("199.109.0.0/16"), 3754)
-	traces := []trace.Trace{
-		trace.NewTrace("ark1", ip("199.109.200.1"), ip("109.105.98.10"), ip("198.71.45.2")),
-		trace.NewTrace("ark1", ip("199.109.200.2"), ip("109.105.98.10"), ip("198.71.46.180")),
-		trace.NewTrace("ark1", ip("199.109.200.3"), ip("109.105.98.10"), ip("199.109.5.1")),
-		trace.NewTrace("ark2", ip("199.109.200.4"), ip("64.57.28.1"), ip("199.109.5.1")),
-	}
-	c := core.NewCollector()
-	c.TrackMonitors()
-	for _, tr := range traces {
-		c.Add(tr)
-	}
-	ev := c.Evidence()
-
-	var h snapshot.Handle
-	publishes := 0
-	hook := snapshot.PublishOnStage(&h, ev)
-	cfg := core.Config{IP2AS: table, F: 0.5, OnStage: func(st core.Stage, it int, ss *core.StageSnapshot) {
-		hook(st, it, ss)
-		if st == core.StageIteration || st == core.StageStub {
-			publishes++
-		}
-	}}
-	res, err := core.RunEvidence(ev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if publishes == 0 {
-		t.Fatal("hook never fired")
-	}
-	s := h.Load()
-	if s == nil {
-		t.Fatal("nothing published")
-	}
-	if s.Len() != len(res.Inferences) {
-		t.Fatalf("final snapshot has %d rows, result %d", s.Len(), len(res.Inferences))
-	}
-	for _, inf := range res.Inferences {
-		if !reflect.DeepEqual(rowsSlice(s.Lookup(inf.Addr)), res.ByAddr(inf.Addr)) {
-			t.Fatalf("published snapshot diverges at %v", inf.Addr)
-		}
-	}
-	if m, ok := s.MonitorEvidence("ark1"); !ok || m.Traces() != 3 {
-		t.Fatalf("published snapshot monitor index wrong: ok=%v", ok)
-	}
-}
-
 // Guard against accidental fmt-style breakage of the string compare used
 // by the monitor binary search: index order is strict byte order.
 func TestMonitorIndexOrder(t *testing.T) {

@@ -179,7 +179,7 @@ func parse(r io.Reader) (*report, error) {
 
 // parseBenchLine parses one result line, e.g.
 //
-//	BenchmarkFixpointIncremental-4  842  1279764 ns/op  81448 B/op  59 allocs/op
+//	BenchmarkFixpoint/small-4  842  1279764 ns/op  81448 B/op  59 allocs/op
 func parseBenchLine(line string) (result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || fields[3] != "ns/op" {

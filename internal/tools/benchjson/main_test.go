@@ -12,8 +12,8 @@ const sample = `goos: linux
 goarch: amd64
 pkg: mapit/internal/core
 cpu: AMD EPYC 7B13
-BenchmarkFixpointFull-4          	     391	   2905128 ns/op	  115368 B/op	      67 allocs/op
-BenchmarkFixpointIncremental-4   	     842	   1279764 ns/op	   81448 B/op	      59 allocs/op
+BenchmarkFixpoint/medium-4       	     391	   2905128 ns/op	  115368 B/op	      67 allocs/op
+BenchmarkFixpoint/small-4        	     842	   1279764 ns/op	   81448 B/op	      59 allocs/op
 BenchmarkStateHash       	   12000	     98000 ns/op
 PASS
 ok  	mapit/internal/core	5.123s
@@ -31,15 +31,15 @@ func TestParse(t *testing.T) {
 	if len(rep.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(rep.Results))
 	}
-	full := rep.Results[0]
-	if full.Name != "BenchmarkFixpointFull" || full.Procs != 4 ||
-		full.Iterations != 391 || full.NsPerOp != 2905128 ||
-		full.BytesPerOp != 115368 || full.AllocsPerOp != 67 {
-		t.Errorf("full = %+v", full)
+	medium := rep.Results[0]
+	if medium.Name != "BenchmarkFixpoint/medium" || medium.Procs != 4 ||
+		medium.Iterations != 391 || medium.NsPerOp != 2905128 ||
+		medium.BytesPerOp != 115368 || medium.AllocsPerOp != 67 {
+		t.Errorf("medium = %+v", medium)
 	}
-	inc := rep.Results[1]
-	if inc.Name != "BenchmarkFixpointIncremental" || inc.AllocsPerOp != 59 {
-		t.Errorf("inc = %+v", inc)
+	small := rep.Results[1]
+	if small.Name != "BenchmarkFixpoint/small" || small.AllocsPerOp != 59 {
+		t.Errorf("small = %+v", small)
 	}
 	// No -benchmem columns: bytes/allocs stay zero, no -procs suffix.
 	sh := rep.Results[2]

@@ -61,8 +61,8 @@ type (
 	StageSnapshot = core.StageSnapshot
 
 	// AuditChecker configures the runtime invariant auditor (set it as
-	// Config.Audit to cross-check the incremental machinery against
-	// first principles at every fixpoint step boundary).
+	// Config.Audit to cross-check the fixpoint's maintained state
+	// against first principles at every fixpoint step boundary).
 	AuditChecker = audit.Checker
 	// AuditMode selects how much of each structure the auditor samples.
 	AuditMode = audit.Mode
@@ -187,14 +187,6 @@ type (
 // BuildSnapshot compiles a result (and optionally its evidence, for the
 // monitor index; ev may be nil) into an immutable query snapshot.
 func BuildSnapshot(res *Result, ev *Evidence) *Snapshot { return snapshot.Build(res, ev) }
-
-// PublishSnapshots returns a Config.OnStage hook that compiles and
-// publishes a snapshot into h at every iteration boundary and after the
-// final stage, so readers can query a converging run without blocking
-// it.
-func PublishSnapshots(h *SnapshotHandle, ev *Evidence) func(Stage, int, *StageSnapshot) {
-	return snapshot.PublishOnStage(h, ev)
-}
 
 // NewOriginTable elects per-prefix origins from multi-collector
 // announcements and builds the LPM table.
