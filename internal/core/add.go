@@ -1,9 +1,5 @@
 package core
 
-import (
-	"mapit/internal/inet"
-)
-
 // addStep runs §4.4 to fixpoint: repeated passes of direct inference +
 // other-side updates + contradiction resolution, each pass reading only
 // the state committed by the previous pass. first selects whether the
@@ -63,11 +59,7 @@ func (st *runState) scanHalfElect(hi int32, elect countResult) (directInf, bool)
 	if curID >= 0 && st.idx.orgOfASN[curID] == elect.winnerOrg {
 		return directInf{}, false // no AS switch: internal or sibling boundary (§4.9)
 	}
-	var cur inet.ASN
-	if curID >= 0 {
-		cur = st.idx.asnOf[curID]
-	}
-	return directInf{local: cur, localID: curID,
+	return directInf{local: st.idx.asnAt(curID), localID: curID,
 		connected: elect.connected, connectedID: elect.connectedID}, true
 }
 
@@ -142,7 +134,7 @@ func (st *runState) directPass() int {
 			if st.dirConnID[ohIdx] < 0 {
 				st.setOverrideIdx(oh, ohIdx, p.d.connected, p.d.connectedID)
 			}
-		} else if oh, ok := st.otherHalf(h); ok {
+		} else if oh, ok := st.otherHalf(p.hi); ok {
 			st.setIndirect(oh, h)
 			if _, selfDirect := st.direct[oh]; !selfDirect {
 				st.setOverride(oh, p.d.connected)
@@ -184,7 +176,7 @@ func (st *runState) resolveDualInferences() bool {
 		toDrop = append(toDrop, hi)
 	}
 	for _, hi := range toDrop {
-		st.discardDirect(st.halfAt(hi))
+		st.discardDirect(hi)
 		st.inferredOnce[hi] = true // cannot be re-made this add step
 		st.diag.DualResolved++
 		changed = true
@@ -233,7 +225,7 @@ func (st *runState) resolveDivergentOtherSides() bool {
 		if st.severed[a] {
 			continue // already severed via the partner
 		}
-		other := st.otherSide[a]
+		other := st.otherA[ai]
 		st.severed[a] = true
 		st.severedIdx[ai] = true
 		st.severed[other] = true
@@ -282,7 +274,7 @@ func (st *runState) resolveInverseInferences() bool {
 		// exactly N_F; entries are the backward halves of the members
 		// (IXP members bit-complemented — recover them, they can carry
 		// inferences even though they never vote).
-		for _, ni := range ix.nbrFlat[ix.nbrOff[hi]:ix.nbrOff[hi+1]] {
+		for _, ni := range ix.nbrHalf[ix.nbrOff[hi]:ix.nbrOff[hi+1]] {
 			if ni < 0 {
 				ni = ^ni
 			}
@@ -314,7 +306,7 @@ func (st *runState) resolveInverseInferences() bool {
 				}
 				continue
 			}
-			st.discardDirect(st.halfAt(ni))
+			st.discardDirect(ni)
 			st.inferredOnce[ni] = true
 			st.diag.InverseDiscarded++
 			changed = true

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"mapit/internal/audit"
-	"mapit/internal/inet"
 )
 
 // Audit checkpoint stages (audit.Violation.Stage values).
@@ -65,7 +64,7 @@ func (st *runState) auditCheckpoint(stage string, iter int) {
 	st.auditStateHash(stage, iter)
 	st.auditInterning(stage, iter)
 	st.auditMirrors(stage, iter)
-	st.auditMemoIP2AS(stage, iter)
+	st.auditBaseMapping(stage, iter)
 	st.auditBacking(stage, iter)
 	st.auditElections(stage, iter)
 }
@@ -176,11 +175,7 @@ func (st *runState) auditMirrors(stage string, iter int) {
 		}
 		// Committed-mapping mirror: mapID must agree with mapping().
 		a.check()
-		var got inet.ASN
-		if id := ix.mapID[hi]; id >= 0 {
-			got = ix.asnOf[id]
-		}
-		if want := st.mapping(h); got != want {
+		if got, want := ix.asnAt(ix.mapID[hi]), st.mapping(hi); got != want {
 			a.violate("mirror", stage, iter,
 				"half %v: mapID view says %d, mapping() says %d", h, got, want)
 		}
@@ -211,26 +206,26 @@ func (st *runState) auditMirrors(stage string, iter int) {
 	}
 }
 
-// auditMemoIP2AS re-resolves memoised IP→AS entries through the
-// underlying lookup source: a memo hit must be exactly what a direct
-// Chain/Table lookup returns. The sources are frozen for the run, so
-// divergence means the memo was corrupted, not that the source moved.
-func (st *runState) auditMemoIP2AS(stage string, iter int) {
-	a := st.auditor
+// auditBaseMapping re-resolves sampled interface addresses through the
+// lookup sources: the base mapping and IXP flag the state build stored
+// for each id must be exactly what a direct Chain/Table and directory
+// lookup returns. The sources are frozen for the run, so divergence
+// means the dense state was corrupted, not that a source moved.
+func (st *runState) auditBaseMapping(stage string, iter int) {
+	a, ix := st.auditor, &st.idx
 	stride, off := a.stride()
-	keys := make([]inet.Addr, 0, len(st.ip2as.m))
-	for addr := range st.ip2as.m {
-		keys = append(keys, addr)
-	}
-	slices.Sort(keys)
-	for i := int(off); i < len(keys); i += int(stride) {
-		addr := keys[i]
+	for i := off; i < int32(len(st.addrs)); i += stride {
+		addr := st.addrs[i]
+		asn, _ := st.cfg.IP2AS.Lookup(addr)
 		a.check()
-		hit := st.ip2as.m[addr]
-		asn, ok := st.ip2as.src.Lookup(addr)
-		if hit.asn != asn || hit.ok != ok {
-			a.violate("ip2as-memo", stage, iter,
-				"addr %v memoised as (%d,%v), source says (%d,%v)", addr, hit.asn, hit.ok, asn, ok)
+		if got := ix.asnAt(ix.baseID[i]); got != asn {
+			a.violate("base-mapping", stage, iter,
+				"addr %v has base mapping %d, source says %d", addr, got, asn)
+		}
+		a.check()
+		if want := st.cfg.IXP.IsIXPAddr(addr) || st.cfg.IXP.IsIXPASN(asn); ix.ixpA[i] != want {
+			a.violate("base-mapping", stage, iter,
+				"addr %v has IXP flag %v, sources say %v", addr, ix.ixpA[i], want)
 		}
 	}
 }

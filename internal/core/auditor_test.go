@@ -181,13 +181,13 @@ func hasViolation(r *audit.Report, check string) bool {
 // conditions the manual corruption would also disturb.
 func TestAuditDetectsCorruption(t *testing.T) {
 	cases := []struct {
-		check   string
-		corrupt func(t *testing.T, st *runState)
+		name, check string
+		corrupt     func(t *testing.T, st *runState)
 	}{
-		{"state-hash", func(t *testing.T, st *runState) {
+		{"state-hash", "state-hash", func(t *testing.T, st *runState) {
 			st.hashSum ^= 0xdeadbeef
 		}},
-		{"mirror", func(t *testing.T, st *runState) {
+		{"mirror", "mirror", func(t *testing.T, st *runState) {
 			for hi := range st.dirConnID {
 				if st.dirConnID[hi] >= 0 {
 					st.dirConnID[hi] = -1
@@ -196,15 +196,19 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			}
 			t.Fatal("no direct mirror to corrupt")
 		}},
-		{"ip2as-memo", func(t *testing.T, st *runState) {
-			for a, hit := range st.ip2as.m {
-				hit.asn++
-				st.ip2as.m[a] = hit
-				return
+		{"base-mapping", "base-mapping", func(t *testing.T, st *runState) {
+			for i, id := range st.idx.baseID {
+				if id >= 0 {
+					st.idx.baseID[i] = -1
+					return
+				}
 			}
-			t.Fatal("no memo entry to corrupt")
+			t.Fatal("no announced base mapping to corrupt")
 		}},
-		{"backing", func(t *testing.T, st *runState) {
+		{"base-mapping-ixp", "base-mapping", func(t *testing.T, st *runState) {
+			st.idx.ixpA[0] = !st.idx.ixpA[0]
+		}},
+		{"backing", "backing", func(t *testing.T, st *runState) {
 			for hi := range st.dirConnID {
 				h := st.halfAt(int32(hi))
 				_, d := st.direct[h]
@@ -217,12 +221,12 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			}
 			t.Fatal("no inference-free half to plant an override on")
 		}},
-		{"interning", func(t *testing.T, st *runState) {
+		{"interning", "interning", func(t *testing.T, st *runState) {
 			st.idx.asnOf[0]++
 		}},
 	}
 	for _, c := range cases {
-		t.Run(c.check, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			st := auditFixture(t)
 			before := st.auditor.report.Total()
 			c.corrupt(t, st)

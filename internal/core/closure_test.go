@@ -311,25 +311,39 @@ func TestComponentElectionInputsMatchGlobal(t *testing.T) {
 	}
 	for ci, comp := range comps {
 		st := newRunState(&cfg, comp)
-		for _, a := range st.addrs {
-			if !reflect.DeepEqual(st.nbrF[a], global.nbrF[a]) {
-				t.Fatalf("component %d: N_F(%v) diverges from global", ci, a)
+		for i, a := range st.addrs {
+			gi := global.addrIdx(a)
+			if gi < 0 {
+				t.Fatalf("component %d: interface %v missing from the global state", ci, a)
 			}
-			if !reflect.DeepEqual(st.nbrB[a], global.nbrB[a]) {
-				t.Fatalf("component %d: N_B(%v) diverges from global", ci, a)
+			for _, d := range [2]Direction{Forward, Backward} {
+				got := nsAddrs(st, halfSlot(int32(i), d))
+				want := nsAddrs(global, halfSlot(gi, d))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("component %d: N_%v(%v) = %v, global %v", ci, d, a, got, want)
+				}
 			}
-			if st.otherSide[a] != global.otherSide[a] {
-				t.Fatalf("component %d: otherSide(%v) = %v, global %v",
-					ci, a, st.otherSide[a], global.otherSide[a])
+			if st.hasOther[i] != global.hasOther[gi] || st.otherA[i] != global.otherA[gi] {
+				t.Fatalf("component %d: other side of %v = (%v, %v), global (%v, %v)",
+					ci, a, st.otherA[i], st.hasOther[i], global.otherA[gi], global.hasOther[gi])
 			}
-			if st.baseAS[a] != global.baseAS[a] {
-				t.Fatalf("component %d: baseAS(%v) diverges from global", ci, a)
+			if st.idx.asnAt(st.idx.baseID[i]) != global.idx.asnAt(global.idx.baseID[gi]) {
+				t.Fatalf("component %d: base mapping of %v diverges from global", ci, a)
 			}
-			if st.ixpAddr[a] != global.ixpAddr[a] {
-				t.Fatalf("component %d: ixpAddr(%v) diverges from global", ci, a)
+			if st.idx.ixpA[i] != global.idx.ixpA[gi] {
+				t.Fatalf("component %d: IXP flag of %v diverges from global", ci, a)
 			}
 		}
 	}
+}
+
+// nsAddrs returns the neighbour set of half hi as addresses.
+func nsAddrs(st *runState, hi int32) []inet.Addr {
+	out := make([]inet.Addr, 0, len(st.ns(hi)))
+	for _, id := range st.ns(hi) {
+		out = append(out, st.addrs[id])
+	}
+	return out
 }
 
 // assertSameResult compares the differential-visible fields of two

@@ -7,14 +7,9 @@ import (
 	"mapit/internal/topo"
 )
 
-// BenchmarkFixpoint times the §4.4–§4.6 fixpoint loop alone (evidence
-// collection and state build excluded via StopTimer) on small and
-// medium synthetic topologies: every add pass re-elects every eligible
-// half, every remove pass every direct inference.
-//
-// CI runs it with -benchtime=1x as a smoke test and snapshots the
-// numbers to BENCH_fixpoint.json (see internal/tools/benchjson).
-func BenchmarkFixpoint(b *testing.B) {
+// benchSizes runs fn as one sub-benchmark per synthetic topology size,
+// handing it the size's config and collected evidence.
+func benchSizes(b *testing.B, fn func(b *testing.B, cfg *Config, ev *Evidence)) {
 	sizes := []struct {
 		name  string
 		gen   topo.GenConfig
@@ -34,15 +29,42 @@ func BenchmarkFixpoint(b *testing.B) {
 			orgs, rels, dir := w.PublicInputs(topo.DefaultNoiseConfig())
 			cfg := Config{IP2AS: w.Table(), Orgs: orgs, Rels: rels, IXP: dir,
 				F: 0.5, Workers: runtime.GOMAXPROCS(0)}
-			ev := EvidenceFrom(ds.Sanitize())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				st := newRunState(&cfg, ev)
-				b.StartTimer()
-				st.fixpoint()
-			}
+			cfg.freeze()
+			fn(b, &cfg, EvidenceFrom(ds.Sanitize()))
 		})
 	}
+}
+
+// BenchmarkFixpoint times the §4.4–§4.6 fixpoint loop alone (evidence
+// collection and state build excluded via StopTimer) on small and
+// medium synthetic topologies: every add pass re-elects every eligible
+// half, every remove pass every direct inference.
+//
+// CI runs it with -benchtime=1x as a smoke test and snapshots the
+// numbers to BENCH_fixpoint.json (see internal/tools/benchjson).
+func BenchmarkFixpoint(b *testing.B) {
+	benchSizes(b, func(b *testing.B, cfg *Config, ev *Evidence) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st := newRunState(cfg, ev)
+			b.StartTimer()
+			st.fixpoint()
+		}
+	})
+}
+
+// BenchmarkStateBuild times newRunState alone over the same inputs:
+// interface ids, the neighbour-set rows, per-id IP→AS, IXP and
+// other-side resolution, and the intern index. Workers follows
+// GOMAXPROCS, so -cpu 1,2 compares the serial and sharded build.
+func BenchmarkStateBuild(b *testing.B) {
+	benchSizes(b, func(b *testing.B, cfg *Config, ev *Evidence) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			newRunState(cfg, ev)
+		}
+	})
 }

@@ -32,15 +32,12 @@ type memoHit struct {
 // datasets reuse addresses heavily — the same interface appears in one
 // adjacency per trace that crosses it — so resolving each distinct
 // address once and serving the rest from a flat map beats even the
-// compiled LPM engine for repeated hits. The memo is per run (per
-// baseline invocation, per verifier), never shared: it pins the
-// source's answers at creation time, and IP2AS sources can thaw and
-// mutate between runs.
-//
-// Not safe for concurrent use. Parallel phases resolve through the
-// source directly into index-aligned slices (see primeParallel) and
-// commit into the memo serially, matching the repository's
-// parallel-compute/serial-commit rule.
+// compiled LPM engine for repeated hits. The baselines and verifiers
+// use it through MemoIP2AS; a MAP-IT run needs no memo, because its
+// state build resolves each interface address exactly once. A memo is
+// never shared: it pins the source's answers at creation time, and
+// IP2AS sources can thaw and mutate between runs. Not safe for
+// concurrent use.
 type memoIP2AS struct {
 	src IP2AS
 	m   map[inet.Addr]memoHit
@@ -59,25 +56,6 @@ func (m *memoIP2AS) Lookup(a inet.Addr) (inet.ASN, bool) {
 	asn, ok := m.src.Lookup(a)
 	m.m[a] = memoHit{asn: asn, ok: ok}
 	return asn, ok
-}
-
-// primeParallel resolves a deduplicated address worklist through the
-// source across workers goroutines (each writes a disjoint slice range
-// — no locks, deterministic output), then commits the results into the
-// memo serially. Returns the resolved ASNs index-aligned with addrs;
-// zero means unannounced.
-func (m *memoIP2AS) primeParallel(addrs []inet.Addr, workers int) []inet.ASN {
-	asns := make([]inet.ASN, len(addrs))
-	oks := make([]bool, len(addrs))
-	parallelChunks(len(addrs), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			asns[i], oks[i] = m.src.Lookup(addrs[i])
-		}
-	})
-	for i, a := range addrs {
-		m.m[a] = memoHit{asn: asns[i], ok: oks[i]}
-	}
-	return asns
 }
 
 // MemoIP2AS wraps src with a single-use resolution cache (see

@@ -1,23 +1,19 @@
 package core
 
 import (
-	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"mapit/internal/inet"
 )
 
 // countingIP2AS wraps a map-backed resolver and counts source hits.
-// The counter is atomic because primeParallel consults the source from
-// several workers at once.
 type countingIP2AS struct {
 	m     map[inet.Addr]inet.ASN
-	calls atomic.Int64
+	calls int
 }
 
 func (c *countingIP2AS) Lookup(a inet.Addr) (inet.ASN, bool) {
-	c.calls.Add(1)
+	c.calls++
 	asn, ok := c.m[a]
 	return asn, ok
 }
@@ -41,40 +37,8 @@ func TestMemoIP2AS(t *testing.T) {
 	probe("10.0.0.1", 100, true)
 	probe("9.9.9.9", 0, false) // the miss must be cached too
 	probe("10.0.0.2", 200, true)
-	if n := src.calls.Load(); n != 3 {
+	if n := src.calls; n != 3 {
 		t.Errorf("source consulted %d times; want 3 (one per distinct address)", n)
-	}
-}
-
-// TestMemoPrimeParallel checks the parallel prime resolves the worklist
-// identically for any worker count and leaves every answer cached.
-func TestMemoPrimeParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	src := &countingIP2AS{m: make(map[inet.Addr]inet.ASN)}
-	addrs := make([]inet.Addr, 500)
-	for i := range addrs {
-		addrs[i] = inet.Addr(rng.Uint32())
-		if i%3 != 0 { // two thirds announced
-			src.m[addrs[i]] = inet.ASN(1 + i)
-		}
-	}
-	want := newMemoIP2AS(src).primeParallel(addrs, 1)
-	for _, workers := range []int{2, 4, 7} {
-		memo := newMemoIP2AS(src)
-		got := memo.primeParallel(addrs, workers)
-		for i := range addrs {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: asns[%d] = %v; want %v", workers, i, got[i], want[i])
-			}
-		}
-		before := src.calls.Load()
-		for _, a := range addrs {
-			memo.Lookup(a)
-		}
-		if after := src.calls.Load(); after != before {
-			t.Errorf("workers=%d: primed memo consulted the source %d more times",
-				workers, after-before)
-		}
 	}
 }
 
@@ -88,7 +52,7 @@ func TestMemoIP2ASExported(t *testing.T) {
 			t.Fatalf("Lookup = %v, %v", asn, ok)
 		}
 	}
-	if n := src.calls.Load(); n != 1 {
+	if n := src.calls; n != 1 {
 		t.Errorf("source consulted %d times; want 1", n)
 	}
 }

@@ -25,18 +25,17 @@ import (
 //     election's sibling pooling (§4.9) is one array load per neighbour
 //     instead of a union-find walk.
 type internIndex struct {
-	idxOfAddr map[inet.Addr]int32
-	asnOf     []inet.ASN         // asnID → ASN
-	idOfASN   map[inet.ASN]int32 // ASN → asnID
-	orgOfASN  []int32            // asnID → orgID
-	orgIDOf   map[inet.ASN]int32 // canonical ASN → orgID
-	orgCount  int
+	asnOf    []inet.ASN         // asnID → ASN
+	idOfASN  map[inet.ASN]int32 // ASN → asnID
+	orgOfASN []int32            // asnID → orgID
+	orgIDOf  map[inet.ASN]int32 // canonical ASN → orgID
+	orgCount int
 
 	baseID []int32 // addrIdx → asnID of the base mapping (-1 unannounced)
 	mapID  []int32 // halfIdx → asnID of the committed mapping (-1 unannounced)
 
 	// Flat neighbour index: for an eligible half h,
-	// nbrFlat[nbrOff[h]:nbrOff[h+1]] holds one entry per member of N(h):
+	// nbrHalf[nbrOff[h]:nbrOff[h+1]] holds one entry per member of N(h):
 	// the halfIdx its mapping is read at ({n, h.Dir.Opposite()}, §3.2).
 	// IXP-numbered neighbours, which count toward |N| but never toward
 	// an AS (§4.4.2 fn7), are stored bit-complemented (^halfIdx, always
@@ -45,21 +44,28 @@ type internIndex struct {
 	// Non-eligible halves get an empty range, which doubles as the
 	// eligibility test.
 	nbrOff  []int32
-	nbrFlat []int32
+	nbrHalf []int32
 
-	// halvesIdx is st.halves as half indexes — the add passes' scan list.
+	// halvesIdx lists the eligible (|N| ≥ 2) halves in halfCmp order —
+	// the add passes' scan list.
 	halvesIdx []int32
 
-	// Flat topology mirrors for the per-pass resolution loops:
+	// Per-address topology for the per-pass resolution loops:
 	// otherIdx[a] is the addrIdx of a's §4.2 other side (-1 when it has
 	// none or the other side never appeared adjacent to anything, in
-	// which case no inference can exist on it); ixpA[a] mirrors
-	// st.ixpAddr; soleFwdNbr[a] is the addrIdx of the single member of
-	// N_F(a) when |N_F(a)| == 1 — the §4.8 stub candidate precondition —
-	// and -1 otherwise.
-	otherIdx   []int32
-	ixpA       []bool
-	soleFwdNbr []int32
+	// which case no inference can exist on it); ixpA[a] flags an
+	// IXP-numbered address (by prefix or by base-mapping ASN).
+	otherIdx []int32
+	ixpA     []bool
+}
+
+// addrIdx returns a's index in addrs, or -1 when a is outside the
+// interface universe.
+func (st *runState) addrIdx(a inet.Addr) int32 {
+	if i, ok := slices.BinarySearch(st.addrs, a); ok {
+		return int32(i)
+	}
+	return -1
 }
 
 // halfIdx returns h's dense index, or -1 when h's address is outside the
@@ -67,8 +73,8 @@ type internIndex struct {
 // anything). Such halves can hold overrides, but no election ever reads
 // them.
 func (st *runState) halfIdx(h Half) int32 {
-	i, ok := st.idx.idxOfAddr[h.Addr]
-	if !ok {
+	i := st.addrIdx(h.Addr)
+	if i < 0 {
 		return -1
 	}
 	return halfSlot(i, h.Dir)
@@ -77,6 +83,14 @@ func (st *runState) halfIdx(h Half) int32 {
 // halfAt inverts halfIdx.
 func (st *runState) halfAt(idx int32) Half {
 	return Half{Addr: st.addrs[idx>>1], Dir: Direction(idx & 1)}
+}
+
+// asnAt returns the ASN of an intern id; zero (unannounced) for -1.
+func (ix *internIndex) asnAt(id int32) inet.ASN {
+	if id < 0 {
+		return 0
+	}
+	return ix.asnOf[id]
 }
 
 // internASN returns the dense id for asn, appending a new one (and its
@@ -106,42 +120,34 @@ func (st *runState) internOrg(canonical inet.ASN) int32 {
 	return id
 }
 
-// buildIndex constructs the intern index after addrs, neighbour sets,
-// base mappings, and IXP flags are final. The neighbour flattening is
-// pure per-address work, so it shards across workers into per-chunk
-// partials concatenated in chunk order.
-func (st *runState) buildIndex() {
+// buildIndex constructs the intern index once addrs, the neighbour
+// sets, the IXP flags and halvesIdx are final; base holds each
+// address's base mapping, aligned with addrs.
+func (st *runState) buildIndex(base []inet.ASN) {
 	ix := &st.idx
 	n := len(st.addrs)
-	ix.idxOfAddr = make(map[inet.Addr]int32, n)
-	for i, a := range st.addrs {
-		ix.idxOfAddr[a] = int32(i)
-	}
 
 	// Intern the announced base-mapping universe in sorted order, so the
 	// initial asnID order matches ASN order.
-	ix.idOfASN = make(map[inet.ASN]int32)
-	ix.orgIDOf = make(map[inet.ASN]int32)
-	seen := make(map[inet.ASN]bool, len(st.baseAS))
-	for _, asn := range st.baseAS {
-		if !asn.IsZero() {
+	seen := make(map[inet.ASN]bool)
+	var universe []inet.ASN
+	for _, asn := range base {
+		if !asn.IsZero() && !seen[asn] {
 			seen[asn] = true
+			universe = append(universe, asn)
 		}
 	}
-	universe := make([]inet.ASN, 0, len(seen))
-	for asn := range seen {
-		universe = append(universe, asn)
-	}
 	slices.Sort(universe)
+	ix.idOfASN = make(map[inet.ASN]int32, len(universe))
+	ix.orgIDOf = make(map[inet.ASN]int32)
 	for _, asn := range universe {
 		st.internASN(asn)
 	}
-
 	ix.baseID = make([]int32, n)
 	ix.mapID = make([]int32, 2*n)
-	for i, a := range st.addrs {
+	for i, asn := range base {
 		id := int32(-1)
-		if asn := st.baseAS[a]; !asn.IsZero() {
+		if !asn.IsZero() {
 			id = ix.idOfASN[asn]
 		}
 		ix.baseID[i] = id
@@ -149,75 +155,28 @@ func (st *runState) buildIndex() {
 		ix.mapID[2*i+1] = id
 	}
 
-	// Flatten neighbour lists. For half (a, d) the list is N_F(a)
-	// forward, N_B(a) backward; each member is recorded as its
-	// opposite-direction half, whose mapping the election reads.
-	workers := st.cfg.workers()
-	ix.otherIdx = make([]int32, n)
-	ix.ixpA = make([]bool, n)
-	ix.soleFwdNbr = make([]int32, n)
-	for i := range ix.otherIdx {
-		ix.otherIdx[i] = -1
-		ix.soleFwdNbr[i] = -1
-	}
-	type part struct {
-		nbrFlat []int32
-		nbrCnt  []int32 // per half within the chunk
-	}
-	parts := make([]part, numChunks(n, workers))
-	parallelChunks(n, workers, func(w, lo, hi int) {
-		p := &parts[w]
-		p.nbrCnt = make([]int32, 2*(hi-lo))
-		for i := lo; i < hi; i++ {
-			a := st.addrs[i]
-			ix.ixpA[i] = st.ixpAddr[a]
-			if o, ok := st.otherSide[a]; ok {
-				if oi, ok := ix.idxOfAddr[o]; ok {
-					ix.otherIdx[i] = oi
-				}
-			}
-			for _, d := range [2]Direction{Forward, Backward} {
-				var nbrs []inet.Addr
-				if d == Forward {
-					nbrs = st.nbrF[a]
-				} else {
-					nbrs = st.nbrB[a]
-				}
-				slot := 2*(i-lo) + int(d)
-				if len(nbrs) >= 2 { // eligible: election operand
-					for _, nb := range nbrs {
-						ni := halfSlot(ix.idxOfAddr[nb], d.Opposite())
-						if st.ixpAddr[nb] {
-							ni = ^ni // negative: no AS vote, half recoverable
-						}
-						p.nbrFlat = append(p.nbrFlat, ni)
-					}
-					p.nbrCnt[slot] = int32(len(nbrs))
-				}
-				if d == Forward && len(nbrs) == 1 {
-					ix.soleFwdNbr[i] = ix.idxOfAddr[nbrs[0]]
-				}
-			}
-		}
-	})
-	totalNbr := 0
-	for _, p := range parts {
-		totalNbr += len(p.nbrFlat)
-	}
+	// Election operands: for each eligible half, one entry per member
+	// of its neighbour set — the member's opposite-direction half,
+	// whose mapping the election reads, bit-complemented for IXP
+	// members.
 	ix.nbrOff = make([]int32, 2*n+1)
-	ix.nbrFlat = make([]int32, 0, totalNbr)
-	slot := 0
-	for _, p := range parts {
-		for _, c := range p.nbrCnt {
-			ix.nbrOff[slot+1] = ix.nbrOff[slot] + c
-			slot++
+	for hi := range 2 * n {
+		c := st.nsOff[hi+1] - st.nsOff[hi]
+		if c < 2 {
+			c = 0
 		}
-		ix.nbrFlat = append(ix.nbrFlat, p.nbrFlat...)
+		ix.nbrOff[hi+1] = ix.nbrOff[hi] + c
 	}
-
-	ix.halvesIdx = make([]int32, len(st.halves))
-	for i, h := range st.halves {
-		ix.halvesIdx[i] = halfSlot(ix.idxOfAddr[h.Addr], h.Dir)
+	ix.nbrHalf = make([]int32, ix.nbrOff[2*n])
+	for _, hi := range ix.halvesIdx {
+		opp := Direction(hi & 1).Opposite()
+		out := ix.nbrHalf[ix.nbrOff[hi]:ix.nbrOff[hi+1]]
+		for k, nb := range st.ns(hi) {
+			out[k] = halfSlot(nb, opp)
+			if ix.ixpA[nb] {
+				out[k] = ^out[k] // negative: no AS vote, half recoverable
+			}
+		}
 	}
 
 	// Mutable flat mirrors of the inference state (see state.go) and the
@@ -235,8 +194,8 @@ func (st *runState) buildIndex() {
 	st.dirUnc = make([]bool, 2*n)
 	st.severedIdx = make([]bool, n)
 	st.inferredOnce = make([]bool, 2*n)
-	st.directBuf = make([]int32, 0, len(st.halves))
-	st.electScr = make([]electScratch, workers)
+	st.directBuf = make([]int32, 0, len(ix.halvesIdx))
+	st.electScr = make([]electScratch, st.cfg.workers())
 	for w := range st.electScr {
 		st.electScr[w].ensure(ix.orgCount, len(ix.asnOf))
 	}
@@ -248,9 +207,9 @@ func (st *runState) buildIndex() {
 	// eligible halves, and overrides track inferences plus their other
 	// sides. Sizing up front keeps incremental rehashes out of the
 	// fixpoint loop.
-	st.direct = make(map[Half]*directInf, len(st.halves)/2+16)
-	st.indirect = make(map[Half]Half, len(st.halves)/2+16)
-	st.overrides = make(map[Half]inet.ASN, len(st.halves)+16)
+	st.direct = make(map[Half]*directInf, len(ix.halvesIdx)/2+16)
+	st.indirect = make(map[Half]Half, len(ix.halvesIdx)/2+16)
+	st.overrides = make(map[Half]inet.ASN, len(ix.halvesIdx)+16)
 }
 
 // electScratch is the per-worker reusable state of electNeighborAS:
@@ -294,7 +253,7 @@ type countResult struct {
 // is safe to run from many workers at once, each with its own scratch.
 func (st *runState) electNeighborAS(hi int32, sc *electScratch) countResult {
 	ix := &st.idx
-	nbrs := ix.nbrFlat[ix.nbrOff[hi]:ix.nbrOff[hi+1]]
+	nbrs := ix.nbrHalf[ix.nbrOff[hi]:ix.nbrOff[hi+1]]
 	res := countResult{winnerOrg: -1, connectedID: -1, total: len(nbrs)}
 	if len(nbrs) == 0 {
 		return res

@@ -16,11 +16,6 @@ func numChunks(n, workers int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// parallelChunks splits [0, n) into one contiguous range per worker and
-// runs fn(w, lo, hi) on each concurrently, where w is the chunk index
-// (dense, in range order). Small inputs run serially as chunk 0. Callers
-// that accumulate output per chunk and concatenate in chunk order get
-// results identical to a serial left-to-right scan.
 // resetShards grows *bufs to at least n per-chunk buffers, truncates
 // the first n to length zero, and returns them as a view. Keeping the
 // backing arrays on the caller (runState) means the per-worker output
@@ -37,6 +32,11 @@ func resetShards[T any](bufs *[][]T, n int) [][]T {
 	return view
 }
 
+// parallelChunks splits [0, n) into one contiguous range per worker and
+// runs fn(w, lo, hi) on each concurrently, where w is the chunk index
+// (dense, in range order). Small inputs run serially as chunk 0. Callers
+// that accumulate output per chunk and concatenate in chunk order get
+// results identical to a serial left-to-right scan.
 func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 	if numChunks(n, workers) == 1 {
 		if n > 0 {

@@ -59,7 +59,7 @@ func (st *runState) removeStep() {
 					oh := Half{Addr: st.addrs[oi], Dir: h.Dir.Opposite()}
 					st.setIndirectIdx(h, hidx, oh, halfSlot(oi, oh.Dir))
 				}
-			} else if oh, ok := st.otherHalf(h); ok {
+			} else if oh, ok := st.otherHalf(hidx); ok {
 				if _, ok := st.indirect[h]; !ok {
 					st.setIndirect(h, oh)
 				}

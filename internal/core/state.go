@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"mapit/internal/inet"
+	"mapit/internal/trace"
 )
 
 // directInf is a direct inference record on one half (§4.4.1).
@@ -25,20 +26,23 @@ type directInf struct {
 type runState struct {
 	cfg *Config
 
-	// ip2as is the run's memoised view of cfg.IP2AS: every resolution
-	// site in the run goes through it, so each distinct address hits
-	// the LPM engine at most once per run (see memoIP2AS).
-	ip2as *memoIP2AS
-
-	// Immutable after build.
-	observed  inet.AddrSet              // every address seen in any trace
-	otherSide map[inet.Addr]inet.Addr   // §4.2 pairing
-	nbrF      map[inet.Addr][]inet.Addr // N_F, sorted unique
-	nbrB      map[inet.Addr][]inet.Addr // N_B, sorted unique
-	baseAS    map[inet.Addr]inet.ASN    // original IP2AS (0 = unannounced)
-	ixpAddr   map[inet.Addr]bool
-	halves    []Half // |N| ≥ 2 halves in deterministic order
-	addrs     []inet.Addr
+	// Immutable after build. Every interface address (one with a
+	// neighbour on either side) is identified by its index in the
+	// sorted addrs slice, its addrIdx; the per-address inputs below and
+	// in idx are slices aligned with it.
+	observed inet.AddrSet // every address seen in any trace
+	addrs    []inet.Addr
+	// nsOff/nsIDs hold the §4.3 neighbour sets as CSR rows keyed by
+	// halfIdx: N(hi) is nsIDs[nsOff[hi]:nsOff[hi+1]], the addrIdxs of
+	// its members in ascending order (N_F on forward halves, N_B on
+	// backward ones).
+	nsOff []int32
+	nsIDs []int32
+	// otherA[a] is addrs[a]'s §4.2 other side, defined iff hasOther[a]:
+	// only observed addresses are paired. A flag rather than a zero
+	// sentinel, because 0.0.0.0 is a valid other side (of 0.0.0.1).
+	otherA   []inet.Addr
+	hasOther []bool
 
 	// Inference state. overrides is the committed per-half IP2AS view;
 	// mutations during a pass are buffered and applied at pass end so
@@ -142,160 +146,140 @@ func (st *runState) newDirectInf(d directInf) *directInf {
 func newRunState(cfg *Config, ev *Evidence) *runState {
 	st := &runState{
 		cfg:       cfg,
-		nbrF:      make(map[inet.Addr][]inet.Addr),
-		nbrB:      make(map[inet.Addr][]inet.Addr),
-		baseAS:    make(map[inet.Addr]inet.ASN),
-		ixpAddr:   make(map[inet.Addr]bool),
+		observed:  ev.AllAddrs,
 		direct:    make(map[Half]*directInf),
 		indirect:  make(map[Half]Half),
 		overrides: make(map[Half]inet.ASN),
 		severed:   make(map[inet.Addr]bool),
 	}
-	workers := cfg.workers()
-	st.observed = ev.AllAddrs
-	st.otherSide = make(map[inet.Addr]inet.Addr, len(ev.AllAddrs))
+	adjs := canonicalAdjacencies(ev.Adjacencies)
 
-	// §4.2 other sides. The per-address heuristic is pure, so it shards
-	// over a snapshot of the address set into index-aligned slices (each
-	// worker writes a disjoint range — no locking) and the map fill stays
-	// serial. The map and the /31 count are order-independent, so the
-	// outcome is identical to the serial loop.
-	observed := make([]inet.Addr, 0, len(ev.AllAddrs))
-	for a := range ev.AllAddrs {
-		observed = append(observed, a)
+	// Interface ids: every adjacency endpoint, in address order. The
+	// first endpoints arrive sorted; the second ones are sorted once,
+	// tagged with their adjacency index, and a single merge of the two
+	// streams lists the addresses and gives every endpoint its id.
+	keys := make([]uint64, len(adjs))
+	for k, adj := range adjs {
+		keys[k] = uint64(adj.Second)<<32 | uint64(k)
 	}
-	others := make([]inet.Addr, len(observed))
-	is31 := make([]bool, len(observed))
-	parallelChunks(len(observed), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			os := inet.InferOtherSide(observed[i], ev.AllAddrs)
-			others[i] = os.Other
-			is31[i] = os.Kind == inet.PtP31
+	slices.Sort(keys)
+	first := make([]int32, len(adjs))
+	second := make([]int32, len(adjs))
+	st.addrs = make([]inet.Addr, 0, len(adjs))
+	for i, j := 0, 0; i < len(adjs) || j < len(keys); {
+		var a inet.Addr
+		fromFirst := j == len(keys) || (i < len(adjs) && adjs[i].First <= inet.Addr(keys[j]>>32))
+		if fromFirst {
+			a = adjs[i].First
+		} else {
+			a = inet.Addr(keys[j] >> 32)
 		}
-	})
-	n31 := 0
-	for i, a := range observed {
-		st.otherSide[a] = others[i]
-		if is31[i] {
-			n31++
-		}
-	}
-	if len(ev.AllAddrs) > 0 {
-		st.diag.Slash31Fraction = float64(n31) / float64(len(ev.AllAddrs))
-	}
-
-	// Neighbour sets from the unique adjacencies (§4.3); Evidence
-	// adjacencies arrive sorted and deduplicated, so the per-address
-	// lists inherit both properties.
-	for _, adj := range ev.Adjacencies {
-		st.nbrF[adj.First] = append(st.nbrF[adj.First], adj.Second)
-		st.nbrB[adj.Second] = append(st.nbrB[adj.Second], adj.First)
-	}
-	// nbrF inherits (First, Second) order; nbrB needs a re-sort on the
-	// first element's partner. The lists are independent, so they sort
-	// in place in parallel.
-	backLists := make([][]inet.Addr, 0, len(st.nbrB))
-	for _, list := range st.nbrB {
-		backLists = append(backLists, list)
-	}
-	parallelChunks(len(backLists), workers, func(_, lo, hi int) {
-		for _, list := range backLists[lo:hi] {
-			slices.Sort(list)
-		}
-	})
-
-	// Interface universe: every address with a neighbour on either side.
-	seen := make(map[inet.Addr]bool, len(st.nbrF)+len(st.nbrB))
-	addAddr := func(a inet.Addr) {
-		if !seen[a] {
-			seen[a] = true
+		if len(st.addrs) == 0 || st.addrs[len(st.addrs)-1] != a {
 			st.addrs = append(st.addrs, a)
 		}
-	}
-	for a := range st.nbrF {
-		addAddr(a)
-	}
-	for a := range st.nbrB {
-		addAddr(a)
-	}
-	// Neighbour members also need base mappings: each interface address
-	// plus its putative other side. The LPM and IXP lookups are
-	// read-only (the sources are frozen by RunEvidence) and dominate
-	// this phase, so they shard over a deduplicated worklist into
-	// aligned slices; the map fill — and the memo commit — stays
-	// serial.
-	work := make([]inet.Addr, 0, 2*len(st.addrs))
-	queued := make(map[inet.Addr]bool, 2*len(st.addrs))
-	enqueue := func(a inet.Addr) {
-		if !queued[a] {
-			queued[a] = true
-			work = append(work, a)
+		if id := int32(len(st.addrs) - 1); fromFirst {
+			first[i] = id
+			i++
+		} else {
+			second[uint32(keys[j])] = id
+			j++
 		}
 	}
-	for _, a := range st.addrs {
-		enqueue(a)
-		if ov, ok := st.otherSide[a]; ok {
-			enqueue(ov)
-		}
-	}
-	st.ip2as = newMemoIP2AS(cfg.IP2AS)
-	asns := st.ip2as.primeParallel(work, workers)
-	isIXP := make([]bool, len(work))
-	parallelChunks(len(work), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			isIXP[i] = cfg.IXP.IsIXPAddr(work[i]) || cfg.IXP.IsIXPASN(asns[i])
-		}
-	})
-	for i, a := range work {
-		st.baseAS[a] = asns[i]
-		if isIXP[i] {
-			st.ixpAddr[a] = true
-		}
-	}
-	slices.Sort(st.addrs)
-	st.diag.Interfaces = len(st.addrs)
+	n := int32(len(st.addrs))
+	st.diag.Interfaces = int(n)
 
-	// Eligible halves and the both-Ns overlap statistic. Chunks scan
-	// disjoint ranges of the sorted address slice and are concatenated
-	// in chunk order, so the halves emerge exactly as the serial
-	// left-to-right scan produces them; the diagnostics are sums.
-	type eligiblePartial struct {
-		halves                  []Half
-		fwd, back, bothOverlaps int
+	// Neighbour sets (§4.3) as CSR rows: one stable counting sort of the
+	// adjacencies on half index. The adjacencies are sorted by (First,
+	// Second), so each forward row comes out sorted by Second and each
+	// backward row by First, with no per-row sort.
+	st.nsOff = make([]int32, 2*n+1)
+	for k := range adjs {
+		st.nsOff[halfSlot(first[k], Forward)+1]++
+		st.nsOff[halfSlot(second[k], Backward)+1]++
 	}
-	parts := make([]eligiblePartial, numChunks(len(st.addrs), workers))
-	parallelChunks(len(st.addrs), workers, func(w, lo, hi int) {
-		p := &parts[w]
-		for _, a := range st.addrs[lo:hi] {
-			f, b := st.nbrF[a], st.nbrB[a]
-			if len(f) >= 2 {
-				p.halves = append(p.halves, Half{Addr: a, Dir: Forward})
-				p.fwd++
+	for hi := range 2 * n {
+		st.nsOff[hi+1] += st.nsOff[hi]
+	}
+	st.nsIDs = make([]int32, 2*len(adjs))
+	next := slices.Clone(st.nsOff[:2*n])
+	for k := range adjs {
+		f, b := halfSlot(first[k], Forward), halfSlot(second[k], Backward)
+		st.nsIDs[next[f]] = second[k]
+		st.nsIDs[next[b]] = first[k]
+		next[f]++
+		next[b]++
+	}
+
+	// Base mapping, IXP flag and §4.2 other side, resolved once per id.
+	// The lookup sources are frozen by RunEvidence and the per-address
+	// work is pure, so it shards over disjoint ranges of the id-aligned
+	// slices with no locking. Only observed addresses get an other side.
+	ix := &st.idx
+	base := make([]inet.ASN, n)
+	ix.ixpA = make([]bool, n)
+	ix.otherIdx = make([]int32, n)
+	st.otherA = make([]inet.Addr, n)
+	st.hasOther = make([]bool, n)
+	parallelChunks(int(n), cfg.workers(), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := st.addrs[i]
+			base[i], _ = cfg.IP2AS.Lookup(a)
+			ix.ixpA[i] = cfg.IXP.IsIXPAddr(a) || cfg.IXP.IsIXPASN(base[i])
+			ix.otherIdx[i] = -1
+			if !ev.AllAddrs.Contains(a) {
+				continue
 			}
-			if len(b) >= 2 {
-				p.halves = append(p.halves, Half{Addr: a, Dir: Backward})
-				p.back++
-			}
-			if len(f) > 0 && len(b) > 0 && sortedIntersect(f, b) {
-				p.bothOverlaps++
+			o := inet.InferOtherSide(a, ev.AllAddrs).Other
+			st.otherA[i], st.hasOther[i] = o, true
+			// An other side differs from its address by one (a^1, or
+			// a^3 of a /30 host), so its id, if any, is adjacent.
+			for _, j := range [2]int{i - 1, i + 1} {
+				if j >= 0 && j < int(n) && st.addrs[j] == o {
+					ix.otherIdx[i] = int32(j)
+				}
 			}
 		}
 	})
-	for _, p := range parts {
-		st.halves = append(st.halves, p.halves...)
-		st.diag.EligibleForward += p.fwd
-		st.diag.EligibleBackward += p.back
-		st.diag.BothNsOverlap += p.bothOverlaps
+	st.diag.Slash31Fraction = inet.Slash31Fraction(ev.AllAddrs)
+
+	// Eligible halves (|N| ≥ 2) in halfIdx order, which is halfCmp
+	// order, and the both-Ns overlap statistic.
+	for i := range n {
+		f, b := st.ns(halfSlot(i, Forward)), st.ns(halfSlot(i, Backward))
+		if len(f) >= 2 {
+			ix.halvesIdx = append(ix.halvesIdx, halfSlot(i, Forward))
+			st.diag.EligibleForward++
+		}
+		if len(b) >= 2 {
+			ix.halvesIdx = append(ix.halvesIdx, halfSlot(i, Backward))
+			st.diag.EligibleBackward++
+		}
+		if sortedIntersect(f, b) {
+			st.diag.BothNsOverlap++
+		}
 	}
-	slices.SortFunc(st.halves, halfCmp)
-	st.buildIndex()
+	st.buildIndex(base)
 	if cfg.Audit.Enabled() {
 		st.auditor = newRunAuditor(cfg.Audit)
 	}
 	return st
 }
 
-func sortedIntersect(a, b []inet.Addr) bool {
+// canonicalAdjacencies returns adjs sorted by (First, Second) without
+// duplicates, the order every collector produces. Evidence built by
+// hand in another order is sorted into a copy.
+func canonicalAdjacencies(adjs []trace.Adjacency) []trace.Adjacency {
+	for k := 1; k < len(adjs); k++ {
+		if adjacencyCmp(adjs[k-1], adjs[k]) >= 0 {
+			out := slices.Clone(adjs)
+			slices.SortFunc(out, adjacencyCmp)
+			return slices.Compact(out)
+		}
+	}
+	return adjs
+}
+
+func sortedIntersect(a, b []int32) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -310,31 +294,29 @@ func sortedIntersect(a, b []inet.Addr) bool {
 	return false
 }
 
-// neighbors returns the half's neighbour set.
-func (st *runState) neighbors(h Half) []inet.Addr {
-	if h.Dir == Forward {
-		return st.nbrF[h.Addr]
-	}
-	return st.nbrB[h.Addr]
+// ns returns the neighbour set of half hi as addrIdxs.
+func (st *runState) ns(hi int32) []int32 {
+	return st.nsIDs[st.nsOff[hi]:st.nsOff[hi+1]]
 }
 
-// mapping returns the committed IP2AS view of a half: override if one is
-// in force, otherwise the base BGP mapping. Zero means unannounced.
-func (st *runState) mapping(h Half) inet.ASN {
-	if asn, ok := st.overrides[h]; ok {
+// mapping returns the committed IP2AS view of half hi: override if one
+// is in force, otherwise the base BGP mapping. Zero means unannounced.
+func (st *runState) mapping(hi int32) inet.ASN {
+	if asn, ok := st.overrides[st.halfAt(hi)]; ok {
 		return asn
 	}
-	return st.baseAS[h.Addr]
+	return st.idx.asnAt(st.idx.baseID[hi>>1])
 }
 
-// otherHalf returns the opposite-direction half of the other side of h:
-// the half that shares h's link and looks the same way along it (§3.2).
-func (st *runState) otherHalf(h Half) (Half, bool) {
-	o, ok := st.otherSide[h.Addr]
-	if !ok || st.severed[h.Addr] {
+// otherHalf returns the opposite-direction half of the other side of
+// half hi: the half that shares its link and looks the same way along
+// it (§3.2). The other side may lie outside the interface universe.
+func (st *runState) otherHalf(hi int32) (Half, bool) {
+	ai := hi >> 1
+	if !st.hasOther[ai] || st.severedIdx[ai] {
 		return Half{}, false
 	}
-	return Half{Addr: o, Dir: h.Dir.Opposite()}, true
+	return Half{Addr: st.otherA[ai], Dir: Direction(hi & 1).Opposite()}, true
 }
 
 // mix64 is the SplitMix64 finalizer: a cheap bijective mixer whose
@@ -368,7 +350,7 @@ func directTag(uncertain bool) byte {
 }
 
 // setDirect commits a direct inference, keeping the Half-keyed map
-// (authoritative for hasInference and the result), the flat mirrors
+// (which holds the records the result reports), the flat mirrors
 // (what the scan and resolution loops read), and the hashSum
 // fingerprint in lockstep. hi must be h's halfIdx; every inference
 // lands on an indexed half (an eligible one, or a §4.8 stub candidate).
@@ -384,12 +366,8 @@ func (st *runState) setDirect(h Half, hi int32, d *directInf) {
 	st.dirUnc[hi] = d.uncertain
 }
 
-// unsetDirect removes a direct inference from the map and the mirrors.
-func (st *runState) unsetDirect(h Half) {
-	st.unsetDirectIdx(h, st.halfIdx(h))
-}
-
-// unsetDirectIdx is unsetDirect for callers that already hold h's index.
+// unsetDirectIdx removes h's direct inference from the map and the
+// mirrors; hi is h's halfIdx.
 func (st *runState) unsetDirectIdx(h Half, hi int32) {
 	old, ok := st.direct[h]
 	if !ok {
@@ -479,8 +457,8 @@ func (st *runState) resetInferredOnce() {
 	clear(st.inferredOnce)
 }
 
-// hasInferenceIdx is hasInference over the flat mirrors, for the loops
-// that already hold a halfIdx.
+// hasInferenceIdx reports whether half hi carries any inference record:
+// a direct inference, or an indirect one whose source still stands.
 func (st *runState) hasInferenceIdx(hi int32) bool {
 	if st.dirConnID[hi] >= 0 {
 		return true
@@ -521,16 +499,17 @@ func (st *runState) recomputeOverride(h Half) {
 // indirect inference is also discarded"), and — under the ablation that
 // mirrors updates onto whole interfaces — the opposite half's mirrored
 // override.
-func (st *runState) discardDirect(h Half) {
+func (st *runState) discardDirect(hi int32) {
+	h := st.halfAt(hi)
 	if _, ok := st.direct[h]; !ok {
 		return
 	}
-	st.unsetDirect(h)
+	st.unsetDirectIdx(h, hi)
 	st.recomputeOverride(h)
 	if st.cfg.WholeInterfaceUpdates {
 		st.recomputeOverride(h.Opposite())
 	}
-	if oh, ok := st.otherHalf(h); ok {
+	if oh, ok := st.otherHalf(hi); ok {
 		if src, ok := st.indirect[oh]; ok && src == h {
 			st.unsetIndirect(oh)
 			st.recomputeOverride(oh)
@@ -564,24 +543,26 @@ func (st *runState) stateHashRecompute() uint64 {
 	return sum
 }
 
-// result builds the output snapshot from the current state.
+// result builds the output snapshot from the current state. Direct
+// inferences only ever land on indexed halves, so scanning the mirror
+// in halfIdx order visits them in halfCmp order.
 func (st *runState) result() *Result {
 	r := &Result{Diag: st.diag}
 	out := make([]Inference, 0, len(st.direct)*2)
 	indirectSeen := make(map[Half]bool)
-	halves := make([]Half, 0, len(st.direct))
-	for h := range st.direct {
-		halves = append(halves, h)
-	}
-	slices.SortFunc(halves, halfCmp)
-	for _, h := range halves {
+	for hi, connID := range st.dirConnID {
+		if connID < 0 {
+			continue
+		}
+		h := st.halfAt(int32(hi))
+		ai := hi >> 1
 		d := st.direct[h]
 		inf := Inference{
 			Addr:      h.Addr,
 			Dir:       h.Dir,
 			Local:     d.local,
 			Connected: d.connected,
-			OtherSide: st.otherSide[h.Addr],
+			OtherSide: st.otherA[ai],
 			Uncertain: d.uncertain,
 			Stub:      d.stub,
 		}
@@ -592,8 +573,8 @@ func (st *runState) result() *Result {
 		// Putative other sides that never appeared in any trace are
 		// internal bookkeeping only: with the /30-vs-/31 heuristic
 		// unconfirmed there is no observed interface to report.
-		if oh, ok := st.otherHalf(h); ok && st.observed.Contains(oh.Addr) {
-			if _, hasDirect := st.direct[oh]; !hasDirect && !indirectSeen[oh] && !st.ixpAddr[h.Addr] {
+		if oh, ok := st.otherHalf(int32(hi)); ok && st.observed.Contains(oh.Addr) {
+			if _, hasDirect := st.direct[oh]; !hasDirect && !indirectSeen[oh] && !st.idx.ixpA[ai] {
 				indirectSeen[oh] = true
 				out = append(out, Inference{
 					Addr:      oh.Addr,

@@ -1,7 +1,5 @@
 package core
 
-import "mapit/internal/inet"
-
 // stubHeuristic is Alg 4 (§4.8): after the main loop converges, infer
 // links to low-visibility stub ASes and NAT'd stubs from forward halves
 // with a single neighbour. The conditions guard against third-party
@@ -13,8 +11,8 @@ import "mapit/internal/inet"
 // its providers, which by definition is not a stub, so no inference
 // results.
 //
-// The candidate filter runs on the flat index: soleFwdNbr pre-selects
-// the |N_F| == 1 interfaces, and the inference/mapping/organisation
+// The candidate filter runs on the dense state: the |N_F| == 1 test
+// reads the neighbour-set row, and the inference/mapping/organisation
 // tests are array reads. Only actual stub candidates touch the
 // relationship dataset.
 func (st *runState) stubHeuristic() {
@@ -22,11 +20,13 @@ func (st *runState) stubHeuristic() {
 		return
 	}
 	ix := &st.idx
-	for ai, ni := range ix.soleFwdNbr {
-		if ni < 0 {
+	for ai := range int32(len(st.addrs)) {
+		hfIdx := halfSlot(ai, Forward)
+		nf := st.ns(hfIdx)
+		if len(nf) != 1 {
 			continue
 		}
-		hfIdx := halfSlot(int32(ai), Forward)
+		ni := nf[0]
 		nbIdx := halfSlot(ni, Backward)
 		if st.hasInferenceIdx(hfIdx) || st.hasInferenceIdx(hfIdx+1) || st.hasInferenceIdx(nbIdx) {
 			continue
@@ -46,33 +46,16 @@ func (st *runState) stubHeuristic() {
 		if !st.cfg.Rels.IsStub(asN, st.cfg.Orgs) {
 			continue
 		}
-		var asH inet.ASN
-		if asHID >= 0 {
-			asH = ix.asnOf[asHID]
-		}
 		hf := Half{Addr: st.addrs[ai], Dir: Forward}
-		st.setDirect(hf, hfIdx, st.newDirectInf(directInf{local: asH, localID: asHID,
+		st.setDirect(hf, hfIdx, st.newDirectInf(directInf{local: ix.asnAt(asHID), localID: asHID,
 			connected: asN, connectedID: asNID, stub: true}))
 		st.setOverrideIdx(hf, hfIdx, asN, asNID)
 		st.diag.StubInferences++
-		if oh, ok := st.otherHalf(hf); ok {
+		if oh, ok := st.otherHalf(hfIdx); ok {
 			if _, selfDirect := st.direct[oh]; !selfDirect {
 				st.setIndirect(oh, hf)
 				st.setOverride(oh, asN)
 			}
 		}
 	}
-}
-
-// hasInference reports whether the half carries any inference record.
-func (st *runState) hasInference(h Half) bool {
-	if _, ok := st.direct[h]; ok {
-		return true
-	}
-	if src, ok := st.indirect[h]; ok {
-		if _, ok := st.direct[src]; ok {
-			return true
-		}
-	}
-	return false
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-
-	"mapit/internal/inet"
-)
+import "mapit/internal/inet"
 
 // ProbeSuggestion marks an interface half that looks like an inter-AS
 // boundary but lacks the evidence MAP-IT requires: its single neighbour
@@ -27,52 +22,37 @@ type ProbeSuggestion struct {
 }
 
 // suggestProbes scans for single-neighbour halves whose lone neighbour
-// crosses an organisation boundary and that carry no inference.
+// crosses an organisation boundary and that carry no inference. The
+// scan runs in halfIdx order, so suggestions come out sorted by
+// (Addr, Dir).
 func (st *runState) suggestProbes() []ProbeSuggestion {
+	ix := &st.idx
 	var out []ProbeSuggestion
-	for _, a := range st.addrs {
-		if st.ixpAddr[a] {
+	for hi := range int32(2 * len(st.addrs)) {
+		nbrs := st.ns(hi)
+		if len(nbrs) != 1 || ix.ixpA[hi>>1] {
 			continue
 		}
-		for _, dir := range [2]Direction{Forward, Backward} {
-			h := Half{Addr: a, Dir: dir}
-			nbrs := st.neighbors(h)
-			if len(nbrs) != 1 {
-				continue
-			}
-			if st.hasInference(h) || st.hasInference(h.Opposite()) {
-				continue
-			}
-			n := nbrs[0]
-			if st.ixpAddr[n] {
-				continue
-			}
-			nh := Half{Addr: n, Dir: dir.Opposite()}
-			localAS := st.mapping(h)
-			nbrAS := st.mapping(nh)
-			if localAS.IsZero() || nbrAS.IsZero() {
-				continue
-			}
-			if st.cfg.Orgs.SameOrg(localAS, nbrAS) {
-				continue
-			}
-			if st.hasInference(nh) {
-				continue // the boundary is already pinned from the far side
-			}
-			out = append(out, ProbeSuggestion{
-				Addr: a, Dir: dir, Neighbor: n,
-				LocalAS: localAS, NeighborAS: nbrAS,
-			})
+		if st.hasInferenceIdx(hi) || st.hasInferenceIdx(hi^1) {
+			continue
 		}
+		n := nbrs[0]
+		if ix.ixpA[n] {
+			continue
+		}
+		dir := Direction(hi & 1)
+		nh := halfSlot(n, dir.Opposite())
+		localID, nbrID := ix.mapID[hi], ix.mapID[nh]
+		if localID < 0 || nbrID < 0 || ix.orgOfASN[localID] == ix.orgOfASN[nbrID] {
+			continue
+		}
+		if st.hasInferenceIdx(nh) {
+			continue // the boundary is already pinned from the far side
+		}
+		out = append(out, ProbeSuggestion{
+			Addr: st.addrs[hi>>1], Dir: dir, Neighbor: st.addrs[n],
+			LocalAS: ix.asnOf[localID], NeighborAS: ix.asnOf[nbrID],
+		})
 	}
-	slices.SortFunc(out, probeCmp)
 	return out
-}
-
-// probeCmp is the output order of Result.ProbeSuggestions.
-func probeCmp(a, b ProbeSuggestion) int {
-	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Dir, b.Dir)
 }
