@@ -11,6 +11,8 @@ package mapit_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -400,13 +402,15 @@ func BenchmarkCollectorParallel(b *testing.B) {
 }
 
 // BenchmarkIngestSpill is the out-of-core ingest path end to end: a
-// 10M-trace corpus streams straight from the traceroute engine into a
-// spilling parallel collector under a 64 MiB evidence budget, and the
-// segment files are merged back into evidence. A sampler goroutine
-// tracks peak heap throughout; the benchmark fails if it crosses the
-// 512 MiB ceiling — the bound that makes corpus size irrelevant to
-// ingest memory. CI runs this with -benchtime=1x into BENCH_oocore.json
-// (bytes/op ≈ traces per iteration, so MB/s reads as Mtraces/s).
+// 10M-trace MTRC v3 corpus on disk is decoded and streamed into a
+// spilling Ingestor under a 64 MiB evidence budget, and the segment
+// files are merged back into evidence. The corpus is written once
+// before the timer starts, so the timed loop is NewIngestor → Ingest →
+// Finish alone. A sampler goroutine tracks peak heap throughout; the
+// benchmark fails if it crosses the 512 MiB ceiling — the bound that
+// makes corpus size irrelevant to ingest memory. CI runs this with
+// -benchtime=1x into BENCH_oocore.json (bytes/op = traces per
+// iteration, so MB/s reads as Mtraces/s).
 func BenchmarkIngestSpill(b *testing.B) {
 	const (
 		targetTraces = 10_000_000
@@ -416,6 +420,11 @@ func BenchmarkIngestSpill(b *testing.B) {
 	w := mapit.GenerateWorld(mapit.DefaultWorldConfig())
 	tc := mapit.DefaultTraceConfig()
 	tc.DestsPerMonitor = (targetTraces + len(w.Monitors) - 1) / len(w.Monitors)
+	corpus := filepath.Join(b.TempDir(), "traces.bin")
+	n := writeCorpusV3(b, corpus, w, tc)
+	if n < targetTraces {
+		b.Fatalf("engine produced %d traces, want >= %d", n, targetTraces)
+	}
 
 	var peak atomic.Uint64
 	sample := func() {
@@ -442,40 +451,16 @@ func BenchmarkIngestSpill(b *testing.B) {
 		}
 	}()
 
-	var n int64
 	var st mapit.SpillStats
+	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := mapit.NewParallelCollectorSpill(0, mapit.SpillConfig{
-			Dir: b.TempDir(), MemBudget: budget,
-		})
-		n = 0
-		w.StreamTraces(tc, func(t mapit.Trace) bool {
-			c.Add(t)
-			n++
-			return true
-		})
-		ev, err := c.Finish()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ev.Adjacencies) == 0 {
-			b.Fatal("no evidence collected")
-		}
-		sample() // catch the merge's working set before it is released
-		st = c.SpillStats()
-		if err := c.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(n)
+		st = ingestSpill(b, corpus, mapit.SpillConfig{Dir: b.TempDir(), MemBudget: budget}, sample)
 	}
 	b.StopTimer()
 	close(stop)
 	wg.Wait()
 
-	if n < targetTraces {
-		b.Fatalf("engine produced %d traces, want >= %d", n, targetTraces)
-	}
 	if st.SpilledEntries == 0 {
 		b.Fatalf("nothing spilled under a %d B budget: %+v", int64(budget), st)
 	}
@@ -485,6 +470,64 @@ func BenchmarkIngestSpill(b *testing.B) {
 	b.ReportMetric(float64(peak.Load()), "peak-heap-B")
 	b.ReportMetric(float64(st.SpilledBytes), "spilled-B")
 	b.ReportMetric(float64(st.Files), "spill-files")
+}
+
+// writeCorpusV3 streams w's traces under tc into an MTRC v3 file at
+// path and returns how many it wrote.
+func writeCorpusV3(b *testing.B, path string, w *mapit.World, tc mapit.TraceConfig) int64 {
+	b.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	bw, err := trace.NewBlockWriter(f, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.StreamTraces(tc, func(t mapit.Trace) bool {
+		err = bw.Add(t)
+		return err == nil
+	})
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bw.Traces()
+}
+
+// ingestSpill is one timed iteration of BenchmarkIngestSpill: ingest the
+// corpus file through a spilling Ingestor and finalise it, sampling the
+// heap once the merge's working set is at its largest.
+func ingestSpill(b *testing.B, corpus string, cfg mapit.SpillConfig, sample func()) mapit.SpillStats {
+	f, err := os.Open(corpus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	g := mapit.NewIngestor(mapit.IngestOptions{Spill: cfg})
+	defer g.Close()
+	if _, err := g.Ingest(f); err != nil {
+		b.Fatal(err)
+	}
+	ev, err := g.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(ev.Adjacencies) == 0 {
+		b.Fatal("no evidence collected")
+	}
+	sample() // catch the merge's working set before it is released
+	st := g.SpillStats()
+	if err := g.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return st
 }
 
 // BenchmarkBinaryCodec measures binary trace decode throughput.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -59,6 +58,21 @@ const (
 	addrRetained
 )
 
+// Each sanitise worker puts a direct-mapped filter of 1<<bits entries in
+// front of its address map and one in front of its adjacency routing.
+// Traceroute views are monitor-rooted trees, so the links near a monitor
+// recur in almost every trace: a few thousand entries catch most
+// repeats, and the filters stay in cache.
+const (
+	addrFilterBits = 13
+	adjFilterBits  = 13
+)
+
+// addrSlot is a's address-filter slot (Fibonacci hashing).
+func addrSlot(a inet.Addr) uint32 {
+	return uint32(a) * 0x9e3779b1 >> (32 - addrFilterBits)
+}
+
 // ParallelCollector is a sharded, concurrent Collector: traces fan out
 // to sanitise workers, each worker routes the surviving adjacencies by
 // hash to per-shard deduplication sets, and Evidence() sorts the shards
@@ -80,12 +94,15 @@ type ParallelCollector struct {
 	workers int
 	added   int
 
-	// Persistent state, merged under mu when workers retire.
-	mu            sync.Mutex
-	shards        []map[trace.Adjacency]struct{}
-	allAddrs      inet.AddrSet
-	retainedAddrs inet.AddrSet
-	stats         trace.Stats
+	// Persistent state, merged under mu when workers retire. allRuns
+	// and retRuns hold sorted, duplicate-free address runs — every
+	// responding address, and those on retained traces — that Finish
+	// merges and compacts.
+	mu      sync.Mutex
+	shards  []map[trace.Adjacency]struct{}
+	allRuns [][]inet.Addr
+	retRuns [][]inet.Addr
+	stats   trace.Stats
 	// monitors is the opt-in per-vantage-point attribution (see
 	// TrackMonitors): workers accumulate locally and merge here at
 	// retirement. Nil when tracking is off. Never spills.
@@ -129,11 +146,9 @@ func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	c := &ParallelCollector{
-		workers:       workers,
-		shards:        make([]map[trace.Adjacency]struct{}, workers),
-		allAddrs:      make(inet.AddrSet),
-		retainedAddrs: make(inet.AddrSet),
-		sortScratch:   make([][]trace.Adjacency, workers),
+		workers:     workers,
+		shards:      make([]map[trace.Adjacency]struct{}, workers),
+		sortScratch: make([][]trace.Adjacency, workers),
 	}
 	for i := range c.shards {
 		c.shards[i] = make(map[trace.Adjacency]struct{})
@@ -224,13 +239,22 @@ func (c *ParallelCollector) drain() {
 // sanitizeWorker consumes trace batches, sanitises each trace, and
 // routes its adjacencies to the owning shard. Addresses (in one flagged
 // map, see addrSeen) and statistics accumulate worker-locally; at
-// retirement they merge into the globals, or — in out-of-core mode —
-// flush to the worker's own spill segment so the resident set stays
-// bounded.
+// retirement the addresses leave as two sorted runs, into the
+// collector's run lists or — in out-of-core mode — the worker's own
+// spill segment, so the resident set stays bounded.
+//
+// Two direct-mapped filters keep repeats off the maps. An address-filter
+// entry holds an address and the flags its map entry had when cached:
+// a sighting is a hit only if those flags cover what it needs, so a
+// seen-only entry never hides a later retained sighting. An
+// adjacency-filter hit means this worker has already routed that
+// adjacency, which its shard keeps (or has spilled) for good.
 func (c *ParallelCollector) sanitizeWorker() {
 	defer c.sanWG.Done()
 	addrs := make(map[inet.Addr]uint8)
-	retained := 0 // addresses flagged addrRetained
+	retained := 0                                  // addresses flagged addrRetained
+	addrFilter := new([1 << addrFilterBits]uint64) // flags<<32 | addr
+	adjFilter := new([1 << adjFilterBits]uint64)   // First<<32 | Second
 	var stats trace.Stats
 	var monitors map[string]*monitorAcc
 	if c.monitors != nil {
@@ -260,12 +284,19 @@ func (c *ParallelCollector) sanitizeWorker() {
 				if !res.Discarded && clean.Hops[i].Responded() {
 					want |= addrRetained
 				}
-				if f := addrs[h.Addr]; f&want != want {
+				slot := &addrFilter[addrSlot(h.Addr)]
+				if uint32(*slot) == uint32(h.Addr) && want&^uint8(*slot>>32) == 0 {
+					continue
+				}
+				f := addrs[h.Addr]
+				if f&want != want {
 					if want&^f&addrRetained != 0 {
 						retained++
 					}
-					addrs[h.Addr] = f | want
+					f |= want
+					addrs[h.Addr] = f
 				}
+				*slot = uint64(f)<<32 | uint64(h.Addr)
 			}
 			if res.Discarded {
 				stats.DiscardedTraces++
@@ -276,7 +307,14 @@ func (c *ParallelCollector) sanitizeWorker() {
 				recordMonitor(monitors, t.Monitor, scratch)
 			}
 			for _, adj := range scratch {
-				s := adjShard(adj, len(bufs))
+				key := adjKey(adj)
+				h := adjHash(key)
+				slot := &adjFilter[h>>(64-adjFilterBits)]
+				if *slot == key {
+					continue
+				}
+				*slot = key
+				s := int(h % uint64(len(bufs)))
 				buf := bufs[s]
 				*buf = append(*buf, adj)
 				if len(*buf) >= adjBatchSize {
@@ -289,6 +327,7 @@ func (c *ParallelCollector) sanitizeWorker() {
 		if sp != nil && c.addrsOverLimit(len(addrs), retained) && sp.flushFlaggedAddrs(addrs) {
 			addrs = make(map[inet.Addr]uint8)
 			retained = 0
+			clear(addrFilter[:])
 		}
 	}
 	for s, buf := range bufs {
@@ -298,20 +337,18 @@ func (c *ParallelCollector) sanitizeWorker() {
 			putAdjBatch(buf)
 		}
 	}
-	// Retirement flush: in out-of-core mode the globals must not
-	// accumulate per-worker sets. A failed flush (sticky sink error)
-	// falls through to the global merge — finalisation will report the
-	// error, and the data is not silently lost meanwhile.
-	if sp != nil && sp.flushFlaggedAddrs(addrs) {
-		addrs = nil
+	// Retirement: sort here, outside the lock. A failed flush (sticky
+	// sink error) falls through to the run lists — finalisation will
+	// report the error, and the data is not silently lost meanwhile.
+	var allRun, retRun []inet.Addr
+	if sp == nil || !sp.flushFlaggedAddrs(addrs) {
+		allRun, retRun = sortFlagged(addrs, make([]inet.Addr, 0, len(addrs)), make([]inet.Addr, 0, retained))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for a, f := range addrs {
-		c.allAddrs.Add(a)
-		if f&addrRetained != 0 {
-			c.retainedAddrs.Add(a)
-		}
+	if allRun != nil {
+		c.allRuns = append(c.allRuns, allRun)
+		c.retRuns = append(c.retRuns, retRun)
 	}
 	for name, acc := range monitors {
 		dst := c.monitors[name]
@@ -337,6 +374,23 @@ func (c *ParallelCollector) addrsOverLimit(all, retained int) bool {
 		return all >= n || retained >= n
 	}
 	return int64(all+retained)*addrEntryCost > c.workerLimit
+}
+
+// sortFlagged splits a flagged address map into its two sorted runs,
+// reusing the capacity of all and ret: every address, and the addresses
+// flagged addrRetained, picked from the first run in order.
+func sortFlagged(set map[inet.Addr]uint8, all, ret []inet.Addr) ([]inet.Addr, []inet.Addr) {
+	all, ret = all[:0], ret[:0]
+	for a := range set {
+		all = append(all, a)
+	}
+	slices.Sort(all)
+	for _, a := range all {
+		if set[a]&addrRetained != 0 {
+			ret = append(ret, a)
+		}
+	}
+	return all, ret
 }
 
 // shardOwner deduplicates the adjacency batches routed to shard i. Each
@@ -387,19 +441,15 @@ func (c *ParallelCollector) Evidence() *Evidence {
 // remains usable afterwards.
 func (c *ParallelCollector) Finish() (*Evidence, error) {
 	c.drain()
-	sorted := c.sortShards()
 	if c.spill == nil || !c.spill.spilled() {
 		if c.spill != nil {
 			if err := c.spill.failed(); err != nil {
 				return nil, err
 			}
 		}
-		return c.evidenceInMemory(sorted), nil
+		return c.evidenceInMemory(), nil
 	}
-	ev, err := c.spill.mergeEvidence(sorted,
-		[][]inet.Addr{sortedAddrs(c.allAddrs)},
-		[][]inet.Addr{sortedAddrs(c.retainedAddrs)},
-		c.stats)
+	ev, err := c.spill.mergeEvidence(c.sortShards(), c.allRuns, c.retRuns, c.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -416,9 +466,15 @@ func (c *ParallelCollector) SpillStats() SpillStats {
 	return c.spill.Stats()
 }
 
-// Close releases the collector's spill files. Only needed in
-// out-of-core mode; the collector must not be used afterwards.
+// Close stops a live pipeline — a failed ingest leaves one running —
+// discarding its pending batch, and releases the collector's spill
+// files. The collector must not be used afterwards.
 func (c *ParallelCollector) Close() error {
+	if c.batch != nil {
+		putTraceBatch(c.batch)
+		c.batch = nil
+	}
+	c.drain()
 	if c.spill == nil {
 		return nil
 	}
@@ -433,54 +489,76 @@ func (c *ParallelCollector) sortShards() [][]trace.Adjacency {
 		wg.Add(1)
 		go func(i int, shard map[trace.Adjacency]struct{}) {
 			defer wg.Done()
-			adjs := c.sortScratch[i][:0]
-			for adj := range shard {
-				adjs = append(adjs, adj)
-			}
-			slices.SortFunc(adjs, adjacencyCmp)
-			c.sortScratch[i] = adjs
+			c.sortScratch[i] = sortAdjacencySet(shard, c.sortScratch[i])
 		}(i, shard)
 	}
 	wg.Wait()
 	return c.sortScratch
 }
 
-// evidenceInMemory merges the sorted shard runs without touching disk.
-// Shards partition the adjacency space, so the dedup in the shared
-// merge is a no-op here and the output matches the serial Collector
-// exactly.
-func (c *ParallelCollector) evidenceInMemory(sorted [][]trace.Adjacency) *Evidence {
-	total := 0
-	for _, r := range sorted {
-		total += len(r)
+// sortAdjacencySet writes set's adjacencies into dst's storage in the
+// canonical (First, Second) order. It sorts their keys (adjKey), which
+// order the same way, because an ordered sort needs no comparison
+// callback.
+func sortAdjacencySet(set map[trace.Adjacency]struct{}, dst []trace.Adjacency) []trace.Adjacency {
+	keys := make([]uint64, 0, len(set))
+	for adj := range set {
+		keys = append(keys, adjKey(adj))
 	}
-	srcs := make([]mergeSource[trace.Adjacency], len(sorted))
-	for i, r := range sorted {
-		srcs[i] = sliceSource(r)
+	slices.Sort(keys)
+	dst = dst[:0]
+	for _, k := range keys {
+		dst = append(dst, trace.Adjacency{First: inet.Addr(k >> 32), Second: inet.Addr(k)})
 	}
-	adjs := make([]trace.Adjacency, 0, total)
-	// Slice sources cannot fail, so the merge cannot either.
-	if err := mergeDedup(srcs, adjacencyCmp, func(a trace.Adjacency) { adjs = append(adjs, a) }); err != nil {
-		panic("core: in-memory merge failed: " + err.Error())
-	}
+	return dst
+}
+
+// evidenceInMemory merges the sorted shard and address runs without
+// touching disk; the address runs merge while the shards sort. Shards
+// partition the adjacency space, so the dedup in the shared merge is a
+// no-op there and the output matches the serial Collector exactly. The
+// address runs are compacted into their merge, so a long-lived
+// collector's next finalisation merges one run per set plus what
+// arrived since; AllAddrs is built fresh, insulating the evidence from
+// later Adds.
+func (c *ParallelCollector) evidenceInMemory() *Evidence {
+	var all, ret []inet.Addr
+	var allAddrs inet.AddrSet
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		all = mergeRuns(c.allRuns, addrCmp)
+		ret = mergeRuns(c.retRuns, addrCmp)
+		allAddrs = make(inet.AddrSet, len(all))
+		for _, a := range all {
+			allAddrs[a] = struct{}{}
+		}
+	}()
+	adjs := mergeRuns(c.sortShards(), adjacencyCmp)
+	<-done
+	c.allRuns, c.retRuns = [][]inet.Addr{all}, [][]inet.Addr{ret}
 	stats := c.stats
-	stats.DistinctAddrs = len(c.allAddrs)
-	stats.RetainedAddrs = len(c.retainedAddrs)
+	stats.DistinctAddrs = len(all)
+	stats.RetainedAddrs = len(ret)
 	return &Evidence{
-		AllAddrs:    maps.Clone(c.allAddrs),
+		AllAddrs:    allAddrs,
 		Adjacencies: adjs,
 		Stats:       stats,
 		Monitors:    monitorEvidence(c.monitors),
 	}
 }
 
-// adjShard routes an adjacency to its owning shard. The multiplier is
-// the SplitMix64 finaliser constant, mixing both addresses into the
-// shard index so shards stay balanced even on structured corpora.
-func adjShard(a trace.Adjacency, n int) int {
-	h := uint64(a.First)<<32 | uint64(a.Second)
+// adjKey packs an adjacency into one word, First<<32|Second; keys
+// order as the canonical (First, Second) order does.
+func adjKey(a trace.Adjacency) uint64 { return uint64(a.First)<<32 | uint64(a.Second) }
+
+// adjHash mixes an adjacency key with the SplitMix64 finaliser
+// constant. A worker routes the adjacency to shard adjHash % shards and
+// caches its key in the adjacency-filter slot named by the top bits,
+// so both stay balanced even on structured corpora.
+func adjHash(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return int(h % uint64(n))
+	return h
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"mapit/internal/inet"
 	"mapit/internal/trace"
@@ -131,5 +133,213 @@ func TestEvidenceSnapshotIsolation(t *testing.T) {
 	p.Evidence()
 	if len(pev.AllAddrs) != before {
 		t.Fatal("parallel snapshot AllAddrs mutated by a later Add")
+	}
+}
+
+// filterPool returns addresses that collide in the sanitise workers'
+// address filter: perSlot addresses for each of slots filter slots.
+// Adjacencies over a pool this small collide in the adjacency filter
+// too (about a thousand pairs over its 8192 slots).
+func filterPool(slots, perSlot int) []inet.Addr {
+	bySlot := make(map[uint32][]inet.Addr)
+	var pool []inet.Addr
+	for a := inet.Addr(0x08000001); len(pool) < slots*perSlot; a++ {
+		s := addrSlot(a)
+		bySlot[s] = append(bySlot[s], a)
+		if len(bySlot[s]) == perSlot {
+			pool = append(pool, bySlot[s]...)
+		}
+	}
+	return pool
+}
+
+// lonePair returns two addresses whose address-filter slots no pool
+// address, and not each other, uses.
+func lonePair(pool []inet.Addr) (x, y inet.Addr) {
+	used := make(map[uint32]bool)
+	for _, a := range pool {
+		used[addrSlot(a)] = true
+	}
+	var lone []inet.Addr
+	for a := inet.Addr(0x09000001); len(lone) < 2; a++ {
+		if s := addrSlot(a); !used[s] {
+			used[s] = true
+			lone = append(lone, a)
+		}
+	}
+	return lone[0], lone[1]
+}
+
+// filterCorpus draws a corpus over pool that exercises every filter
+// case: hits and slot collisions, hops removed by §4.1 (seen but not
+// retained), discarded traces, and an address x sighted only twice:
+// first in a discarded trace, later in a retained one. x and its
+// neighbour sit in filter slots of their own, so nothing evicts x's
+// seen-only entry in between.
+func filterCorpus(rng *rand.Rand, pool []inet.Addr) []trace.Trace {
+	pick := func() inet.Addr { return pool[rng.Intn(len(pool))] }
+	n := 200 + rng.Intn(600)
+	traces := make([]trace.Trace, 0, n+1)
+	x, y := lonePair(pool)
+	traces = append(traces, trace.NewTrace("mon-0", 0x0b000001, x, y, x)) // cycle: discarded
+	for len(traces) < n {
+		hops := make([]trace.Hop, 0, 8)
+		for j, nh := 0, 2+rng.Intn(7); j < nh; j++ {
+			h := trace.Hop{Addr: pick(), QuotedTTL: 1}
+			switch rng.Intn(10) {
+			case 0:
+				h.Addr = 0
+			case 1:
+				h.QuotedTTL = 0
+			case 2:
+				if len(hops) > 1 {
+					h.Addr = hops[0].Addr
+				}
+			}
+			hops = append(hops, h)
+		}
+		traces = append(traces, trace.Trace{
+			Monitor: fmt.Sprintf("mon-%d", rng.Intn(3)),
+			Dst:     pick(),
+			Hops:    hops,
+		})
+	}
+	// A retained sighting of x, at a random later position.
+	at := 1 + rng.Intn(len(traces))
+	return slices.Insert(traces, at, trace.NewTrace("mon-1", 0x0b000002, x, y))
+}
+
+// addrSpillModel gives the address runs one sanitise worker spills over
+// one pipeline run under RunEntries n — a run per non-empty set at each
+// trace-batch boundary where either set has reached n, and at
+// retirement — and the entries across them.
+func addrSpillModel(traces []trace.Trace, n int) (runs, entries int) {
+	all, ret := make(inet.AddrSet), make(inet.AddrSet)
+	flush := func() {
+		for _, s := range []inet.AddrSet{all, ret} {
+			if len(s) > 0 {
+				runs++
+				entries += len(s)
+			}
+		}
+		all, ret = make(inet.AddrSet), make(inet.AddrSet)
+	}
+	for i, tc := range traces {
+		for _, h := range tc.Hops {
+			if h.Responded() {
+				all.Add(h.Addr)
+			}
+		}
+		if clean, res := trace.Sanitize(tc); !res.Discarded {
+			for _, h := range clean.Hops {
+				if h.Responded() {
+					ret.Add(h.Addr)
+				}
+			}
+		}
+		if ((i+1)%traceBatchSize == 0 || i == len(traces)-1) && (len(all) >= n || len(ret) >= n) {
+			flush()
+		}
+	}
+	flush()
+	return runs, entries
+}
+
+// spilledAddrs counts the address runs a collector has spilled and the
+// entries across them.
+func spilledAddrs(c *ParallelCollector) (runs, entries int) {
+	for _, sf := range c.spill.files {
+		for _, stream := range []int{streamAll, streamRet} {
+			for _, run := range sf.runs[stream] {
+				runs++
+				entries += run.Count
+			}
+		}
+	}
+	return runs, entries
+}
+
+// diffEvidence describes how got differs from want, or returns "".
+func diffEvidence(want, got *Evidence) string {
+	switch {
+	case !reflect.DeepEqual(want.Adjacencies, got.Adjacencies):
+		return fmt.Sprintf("adjacencies differ (%d vs %d)", len(want.Adjacencies), len(got.Adjacencies))
+	case !reflect.DeepEqual(want.AllAddrs, got.AllAddrs):
+		return fmt.Sprintf("address sets differ (%d vs %d)", len(want.AllAddrs), len(got.AllAddrs))
+	case want.Stats != got.Stats:
+		return fmt.Sprintf("stats differ: want %+v, got %+v", want.Stats, got.Stats)
+	case !reflect.DeepEqual(want.Monitors, got.Monitors):
+		return "monitor evidence differs"
+	}
+	return ""
+}
+
+// TestParallelCollectorFiltersTransparent: the sanitise workers'
+// direct-mapped filters must change nothing. For random corpora over
+// colliding addresses, cut into segments with a Finish after each, the
+// collector at 1, 2 and 8 workers, in memory and spilling every few
+// entries, must return exactly the serial Collector's evidence and
+// monitor attribution at every Finish. A single spilling worker must
+// also spill exactly the address runs a filterless worker would, so a
+// filter that outlives its map's flush shows.
+func TestParallelCollectorFiltersTransparent(t *testing.T) {
+	pool := filterPool(8, 4)
+	dir := t.TempDir()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		traces := filterCorpus(rng, pool)
+		cuts := []int{0, len(traces)}
+		for k := rng.Intn(3); k > 0; k-- {
+			cuts = append(cuts, 1+rng.Intn(len(traces)-1))
+		}
+		slices.Sort(cuts)
+		runEntries := 1 + rng.Intn(4)
+		for _, workers := range []int{1, 2, 8} {
+			for _, cfg := range []SpillConfig{{}, {Dir: dir, RunEntries: runEntries}} {
+				label := fmt.Sprintf("seed=%d workers=%d RunEntries=%d", seed, workers, cfg.RunEntries)
+				serial := NewCollector()
+				serial.TrackMonitors()
+				par := NewParallelCollectorSpill(workers, cfg)
+				par.TrackMonitors()
+				wantRuns, wantEntries := 0, 0
+				for i := 1; i < len(cuts); i++ {
+					seg := traces[cuts[i-1]:cuts[i]]
+					for _, tc := range seg {
+						serial.Add(tc)
+						par.Add(tc)
+					}
+					got, err := par.Finish()
+					if err != nil {
+						t.Logf("%s: Finish: %v", label, err)
+						return false
+					}
+					if d := diffEvidence(serial.Evidence(), got); d != "" {
+						t.Logf("%s, Finish %d: %s", label, i, d)
+						return false
+					}
+					if workers == 1 && cfg.RunEntries > 0 {
+						r, e := addrSpillModel(seg, cfg.RunEntries)
+						wantRuns, wantEntries = wantRuns+r, wantEntries+e
+						if r, e := spilledAddrs(par); r != wantRuns || e != wantEntries {
+							t.Logf("%s, Finish %d: %d address runs of %d entries, want %d of %d",
+								label, i, r, e, wantRuns, wantEntries)
+							return false
+						}
+					}
+				}
+				if err := par.Close(); err != nil {
+					t.Logf("%s: Close: %v", label, err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	n := 40
+	if testing.Short() {
+		n = 10
+	}
+	if err := quick.Check(f, quickCfg(n)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -149,6 +149,7 @@ func (g *Ingestor) DecodeStats() *trace.DecodeStats { return &g.stats }
 // SpillStats snapshots the out-of-core counters; zero without a budget.
 func (g *Ingestor) SpillStats() SpillStats { return g.coll.SpillStats() }
 
-// Close releases any spill segment files. The ingestor must not be
-// used afterwards.
+// Close stops the collector's pipeline, which a failed Ingest leaves
+// running, and releases any spill segment files. The ingestor must not
+// be used afterwards.
 func (g *Ingestor) Close() error { return g.coll.Close() }

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mapit/internal/trace"
 )
@@ -268,6 +271,43 @@ func TestIngestorStrict(t *testing.T) {
 	}
 	if ev.Stats.TotalTraces < len(ds.Traces) {
 		t.Fatalf("failed batch corrupted earlier evidence: %+v", ev.Stats)
+	}
+}
+
+// TestIngestorCloseStopsPipeline: Close after a failed ingest must stop
+// the collector's sanitise workers and shard owners, which otherwise
+// wait forever for the batches the aborted decode never sent — in
+// memory and spilling alike, with the spill directory left empty.
+func TestIngestorCloseStopsPipeline(t *testing.T) {
+	var buf bytes.Buffer
+	if err := trace.WriteBinaryBlocks(&buf, &trace.Dataset{Traces: synthTraces(300)}, 64); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(bytes.Repeat([]byte{0xff}, 64))
+	dir := t.TempDir()
+	before := runtime.NumGoroutine()
+	for _, spill := range []SpillConfig{{}, {Dir: dir, RunEntries: 16}} {
+		for i := 0; i < 3; i++ {
+			g := NewIngestor(IngestOptions{Workers: 2, Strict: true, Spill: spill})
+			if n, err := g.Ingest(bytes.NewReader(buf.Bytes())); err == nil || n == 0 {
+				t.Fatalf("ingest of a stream with a corrupt tail: n=%d err=%v, want traces and an error", n, err)
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("spill directory after Close: %d entries, err %v", len(ents), err)
+	}
+	// The pipeline's goroutines have finished their work when Close
+	// returns; allow them a moment to exit.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the failed ingests, %d after closing them", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

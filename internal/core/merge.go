@@ -149,3 +149,20 @@ func mergeDedup[T comparable](srcs []mergeSource[T], cmp func(a, b T) int, yield
 		}
 	}
 }
+
+// mergeRuns merges in-memory sorted, duplicate-free runs into one fresh
+// sorted, duplicate-free slice.
+func mergeRuns[T comparable](runs [][]T, cmp func(a, b T) int) []T {
+	total := 0
+	srcs := make([]mergeSource[T], len(runs))
+	for i, r := range runs {
+		total += len(r)
+		srcs[i] = sliceSource(r)
+	}
+	out := make([]T, 0, total)
+	// Slice sources cannot fail, so the merge cannot either.
+	if err := mergeDedup(srcs, cmp, func(v T) { out = append(out, v) }); err != nil {
+		panic("core: in-memory merge failed: " + err.Error())
+	}
+	return out
+}

@@ -205,10 +205,11 @@ type spillFile struct {
 type spiller struct {
 	sink *spillSink
 	file *spillFile
-	// adjScratch / addrScratch are the reusable sort buffers runs are
-	// staged through; nothing retains them past the Append call.
-	adjScratch  []trace.Adjacency
-	addrScratch []inet.Addr
+	// adjScratch / allScratch / retScratch are the reusable sort
+	// buffers runs are staged through; nothing retains them past the
+	// Append call.
+	adjScratch             []trace.Adjacency
+	allScratch, retScratch []inet.Addr
 }
 
 func newSpiller(sink *spillSink) *spiller { return &spiller{sink: sink} }
@@ -238,11 +239,7 @@ func (sp *spiller) flushAdjSet(set map[trace.Adjacency]struct{}) bool {
 	if err != nil {
 		return false
 	}
-	sp.adjScratch = sp.adjScratch[:0]
-	for adj := range set {
-		sp.adjScratch = append(sp.adjScratch, adj)
-	}
-	slices.SortFunc(sp.adjScratch, adjacencyCmp)
+	sp.adjScratch = sortAdjacencySet(set, sp.adjScratch)
 	run, err := sf.sw.AppendAdjacencyRun(sp.adjScratch)
 	if err != nil {
 		sp.sink.fail(err)
@@ -254,38 +251,28 @@ func (sp *spiller) flushAdjSet(set map[trace.Adjacency]struct{}) bool {
 }
 
 // flushFlaggedAddrs writes a sanitise worker's flagged address map as
-// one sorted run per stream — the addresses flagged addrSeen to
-// streamAll, then those flagged addrRetained to streamRet — one run per
-// set the map stands for. It reports whether the map may be discarded:
-// every non-empty stream was spilled.
+// its two sorted runs (see sortFlagged) — every address to streamAll,
+// the retained ones to streamRet. It reports whether the map may be
+// discarded: every non-empty run was spilled.
 func (sp *spiller) flushFlaggedAddrs(set map[inet.Addr]uint8) bool {
-	ok := true
-	for _, s := range [...]struct {
-		flag   uint8
-		stream int
-	}{{addrSeen, streamAll}, {addrRetained, streamRet}} {
-		sp.addrScratch = sp.addrScratch[:0]
-		for a, f := range set {
-			if f&s.flag != 0 {
-				sp.addrScratch = append(sp.addrScratch, a)
-			}
-		}
-		if len(sp.addrScratch) > 0 && (sp.sink.failed() != nil || !sp.flushAddrScratch(s.stream)) {
-			ok = false
-		}
-	}
-	return ok
+	sp.allScratch, sp.retScratch = sortFlagged(set, sp.allScratch, sp.retScratch)
+	return sp.flushAddrRun(streamAll, sp.allScratch) && sp.flushAddrRun(streamRet, sp.retScratch)
 }
 
-// flushAddrScratch sorts the staged addresses and appends them as one run
-// to the given stream, reporting whether it was spilled.
-func (sp *spiller) flushAddrScratch(stream int) bool {
+// flushAddrRun appends a sorted address run to the given stream,
+// reporting whether it was spilled; an empty run needs no spilling.
+func (sp *spiller) flushAddrRun(stream int, addrs []inet.Addr) bool {
+	if len(addrs) == 0 {
+		return true
+	}
+	if sp.sink.failed() != nil {
+		return false
+	}
 	sf, err := sp.ensureFile()
 	if err != nil {
 		return false
 	}
-	slices.Sort(sp.addrScratch)
-	run, err := sf.sw.AppendAddrRun(sp.addrScratch)
+	run, err := sf.sw.AppendAddrRun(addrs)
 	if err != nil {
 		sp.sink.fail(err)
 		return false
@@ -332,7 +319,8 @@ func addrCursorSource(f *os.File, run trace.SegmentRun) (mergeSource[inet.Addr],
 }
 
 // mergeEvidence finalises a spilled collector: every spilled run joins
-// the in-memory residues (already sorted, duplicate-free slices) in one
+// the in-memory runs (sorted, duplicate-free slices: the shard residues
+// and the collector's address runs) in one
 // bounded-memory k-way merge per stream. stats must carry the ingest
 // counters; the distinct/retained address counts come out of the merge.
 // Peak extra memory is one page buffer per open cursor plus the final
@@ -425,14 +413,4 @@ func (s *spillSink) mergeEvidence(adjRes [][]trace.Adjacency, allRes, retRes [][
 	s.stats.Merges++
 	s.mu.Unlock()
 	return &Evidence{AllAddrs: allAddrs, Adjacencies: adjs, Stats: stats}, nil
-}
-
-// sortedAddrs extracts and sorts a set's keys (a merge residue).
-func sortedAddrs(set inet.AddrSet) []inet.Addr {
-	out := make([]inet.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
 }
