@@ -530,6 +530,79 @@ func ingestSpill(b *testing.B, corpus string, cfg mapit.SpillConfig, sample func
 	return st
 }
 
+// BenchmarkIngestorRepublish is mapitd's ingest pattern: one long-lived
+// Ingestor with TrackMonitors loads a 192k-trace startup corpus and
+// finishes, then folds in six 24k-trace batches (the bench's
+// serve-mixed batch size) with a Finish after each. The MTRC v3
+// corpora are encoded before the timer starts. Besides the whole
+// sequence per op it reports the mean Ingest and Finish time of a
+// republish, the part that should scale with the batch rather than
+// with the corpus.
+func BenchmarkIngestorRepublish(b *testing.B) {
+	const (
+		startupDests = 6000
+		batchDests   = 750
+		batches      = 6
+	)
+	w := mapit.GenerateWorld(mapit.DefaultWorldConfig())
+	encode := func(seed int64, dests int) []byte {
+		tc := mapit.DefaultTraceConfig()
+		tc.Seed, tc.DestsPerMonitor = seed, dests
+		var buf bytes.Buffer
+		bw, err := trace.NewBlockWriter(&buf, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.StreamTraces(tc, func(t mapit.Trace) bool {
+			err = bw.Add(t)
+			return err == nil
+		})
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	startup := encode(2, startupDests)
+	corpora := make([][]byte, batches)
+	for k := range corpora {
+		corpora[k] = encode(100+int64(k), batchDests)
+	}
+
+	var ingest, finish time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := mapit.NewIngestor(mapit.IngestOptions{TrackMonitors: true})
+		if _, err := g.Ingest(bytes.NewReader(startup)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.Finish(); err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range corpora {
+			t0 := time.Now()
+			if _, err := g.Ingest(bytes.NewReader(c)); err != nil {
+				b.Fatal(err)
+			}
+			t1 := time.Now()
+			ev, err := g.Finish()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ingest, finish = ingest+t1.Sub(t0), finish+time.Since(t1)
+			if len(ev.Monitors) == 0 {
+				b.Fatal("no monitor attribution")
+			}
+		}
+		g.Close()
+	}
+	n := float64(b.N * batches)
+	b.ReportMetric(float64(ingest.Nanoseconds())/n, "ingest-ns/batch")
+	b.ReportMetric(float64(finish.Nanoseconds())/n, "finish-ns/batch")
+}
+
 // BenchmarkBinaryCodec measures binary trace decode throughput.
 func BenchmarkBinaryCodec(b *testing.B) {
 	e := benchEnv(b)

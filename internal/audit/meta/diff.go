@@ -95,11 +95,13 @@ func DiffIngest(pl *Pipeline) error {
 // and the downstream Results must be byte-identical. The most
 // aggressive configuration is additionally required to have actually
 // spilled, so the oracle cannot pass vacuously through the in-memory
-// fast path.
+// fast path. One row tracks monitors, whose attribution never spills
+// but must still equal the in-memory reference's.
 func DiffSpill(pl *Pipeline) error {
 	d := pl.Env.Dataset
 
 	mem := core.NewCollector()
+	mem.TrackMonitors()
 	for _, tr := range d.Traces {
 		mem.Add(tr)
 	}
@@ -120,10 +122,12 @@ func DiffSpill(pl *Pipeline) error {
 		label     string
 		spill     core.SpillConfig
 		mustSpill bool
+		monitors  bool
 	}{
-		{"budget=1B", core.SpillConfig{Dir: dir, MemBudget: 1}, true},
-		{"random-run-entries", core.SpillConfig{Dir: dir, RunEntries: 1 + rng.Intn(64)}, true},
-		{"random-budget", core.SpillConfig{Dir: dir, MemBudget: 1 << (10 + rng.Intn(11))}, false},
+		{"budget=1B", core.SpillConfig{Dir: dir, MemBudget: 1}, true, false},
+		{"random-run-entries", core.SpillConfig{Dir: dir, RunEntries: 1 + rng.Intn(64)}, true, false},
+		{"random-budget", core.SpillConfig{Dir: dir, MemBudget: 1 << (10 + rng.Intn(11))}, false, false},
+		{"budget=1B monitors", core.SpillConfig{Dir: dir, MemBudget: 1}, true, true},
 	}
 	workerCounts := []int{1, 2 + rng.Intn(6)}
 
@@ -131,6 +135,9 @@ func DiffSpill(pl *Pipeline) error {
 		for _, workers := range workerCounts {
 			label := fmt.Sprintf("spill %s workers=%d", tc.label, workers)
 			c := core.NewParallelCollectorSpill(workers, tc.spill)
+			if tc.monitors {
+				c.TrackMonitors()
+			}
 			for _, tr := range d.Traces {
 				c.Add(tr)
 			}
@@ -146,6 +153,16 @@ func DiffSpill(pl *Pipeline) error {
 			if err := equalEvidence(label, evMem, ev); err != nil {
 				c.Close()
 				return err
+			}
+			if tc.monitors {
+				if len(evMem.Monitors) == 0 {
+					c.Close()
+					return fmt.Errorf("%s: no monitor attribution — oracle is vacuous", label)
+				}
+				if err := equalMonitorEvidence(evMem.Monitors, ev.Monitors); err != nil {
+					c.Close()
+					return fmt.Errorf("%s: %w", label, err)
+				}
 			}
 			r, err := core.RunEvidence(ev, pl.Config())
 			if err != nil {

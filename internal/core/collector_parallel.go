@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 
 	"mapit/internal/inet"
@@ -59,14 +61,43 @@ const (
 )
 
 // Each sanitise worker puts a direct-mapped filter of 1<<bits entries in
-// front of its address map and one in front of its adjacency routing.
-// Traceroute views are monitor-rooted trees, so the links near a monitor
-// recur in almost every trace: a few thousand entries catch most
+// front of its address map, one in front of its adjacency routing and,
+// with TrackMonitors, one in front of its attribution run. Traceroute
+// views are monitor-rooted trees, so the links near a monitor recur in
+// almost every trace it sends: a few thousand entries catch most
 // repeats, and the filters stay in cache.
 const (
 	addrFilterBits = 13
 	adjFilterBits  = 13
+	monFilterBits  = 13
 )
+
+// monCompactMin is the shortest per-monitor key list a sanitise worker
+// sorts and deduplicates before its retirement.
+const monCompactMin = 1 << 10
+
+// monAdj is one attribution pair: a monitor's collector-wide id and an
+// adjacency its retained traces contributed. Runs of pairs sort by
+// (mon, First, Second), so a merged run slices into each monitor's
+// adjacencies in the canonical order.
+type monAdj struct {
+	mon uint32
+	adj trace.Adjacency
+}
+
+// monAdjCmp orders attribution pairs by monitor id, then adjacency.
+func monAdjCmp(a, b monAdj) int {
+	if c := cmp.Compare(a.mon, b.mon); c != 0 {
+		return c
+	}
+	return adjacencyCmp(a.adj, b.adj)
+}
+
+// monSlot is the monitor-filter slot of the pair (mon, the adjacency
+// whose adjHash is h).
+func monSlot(h uint64, mon uint32) uint64 {
+	return (h ^ uint64(mon)*0x9e3779b97f4a7c15) >> (64 - monFilterBits)
+}
 
 // addrSlot is a's address-filter slot (Fibonacci hashing).
 func addrSlot(a inet.Addr) uint32 {
@@ -89,7 +120,10 @@ func addrSlot(a inet.Addr) uint32 {
 //
 // Add and Evidence must be called from a single goroutine; the
 // concurrency is internal. Like Collector, the collector remains usable
-// after Evidence (the pipeline restarts lazily on the next Add).
+// after Evidence (the pipeline restarts lazily on the next Add), and a
+// finalisation costs what arrived since the previous one plus linear
+// merges: every Finish compacts the sorted runs it merged (DESIGN.md
+// §8).
 type ParallelCollector struct {
 	workers int
 	added   int
@@ -103,10 +137,20 @@ type ParallelCollector struct {
 	allRuns [][]inet.Addr
 	retRuns [][]inet.Addr
 	stats   trace.Stats
-	// monitors is the opt-in per-vantage-point attribution (see
-	// TrackMonitors): workers accumulate locally and merge here at
-	// retirement. Nil when tracking is off. Never spills.
-	monitors map[string]*monitorAcc
+	// base is the adjacency run the last in-memory Finish merged; the
+	// shards hold only what arrived since. Evidence.Adjacencies shares
+	// it, so it is replaced, never written.
+	base []trace.Adjacency
+
+	// Per-monitor attribution (see TrackMonitors); monIDs is nil when
+	// tracking is off. A monitor gets the next id when a retained trace
+	// first names it; monNames and monTraces are indexed by id, and
+	// monRuns hold sorted, duplicate-free attribution runs that Finish
+	// merges and compacts. Never spills.
+	monIDs    map[string]uint32
+	monNames  []string
+	monTraces []int
+	monRuns   [][]monAdj
 
 	// Out-of-core state; spill is nil for an in-memory collector.
 	// shardSpillers persist across pipeline restarts so each shard keeps
@@ -116,10 +160,6 @@ type ParallelCollector struct {
 	shardSpillers []*spiller
 	shardLimit    int64
 	workerLimit   int64
-
-	// sortScratch holds the per-shard sorted runs between Evidence
-	// calls; the merged output never aliases it.
-	sortScratch [][]trace.Adjacency
 
 	// Live pipeline; nil between Evidence() and the next Add. batch is
 	// the trace batch being filled, nil until the next Add takes one
@@ -146,25 +186,35 @@ func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	c := &ParallelCollector{
-		workers:     workers,
-		shards:      make([]map[trace.Adjacency]struct{}, workers),
-		sortScratch: make([][]trace.Adjacency, workers),
+		workers: workers,
+		shards:  make([]map[trace.Adjacency]struct{}, workers),
 	}
+	c.resetShards()
+	if cfg.enabled() {
+		c.enableSpill(cfg)
+	}
+	return c
+}
+
+// resetShards gives every shard an empty set.
+func (c *ParallelCollector) resetShards() {
 	for i := range c.shards {
 		c.shards[i] = make(map[trace.Adjacency]struct{})
 	}
-	if cfg.enabled() {
-		c.spill = newSpillSink(cfg)
-		c.shardSpillers = make([]*spiller, len(c.shards))
-		for i := range c.shardSpillers {
-			c.shardSpillers[i] = newSpiller(c.spill)
-		}
-		// Split the byte budget half to the adjacency shards, half to
-		// the workers' address sets, evenly within each side.
-		c.shardLimit = cfg.MemBudget / 2 / int64(len(c.shards))
-		c.workerLimit = cfg.MemBudget / 2 / int64(workers)
+}
+
+// enableSpill makes the collector spill under cfg from the next
+// pipeline run on.
+func (c *ParallelCollector) enableSpill(cfg SpillConfig) {
+	c.spill = newSpillSink(cfg)
+	c.shardSpillers = make([]*spiller, len(c.shards))
+	for i := range c.shardSpillers {
+		c.shardSpillers[i] = newSpiller(c.spill)
 	}
-	return c
+	// Split the byte budget half to the adjacency shards, half to the
+	// workers' address sets, evenly within each side.
+	c.shardLimit = cfg.MemBudget / 2 / int64(len(c.shards))
+	c.workerLimit = cfg.MemBudget / 2 / int64(c.workers)
 }
 
 // TrackMonitors enables per-monitor evidence attribution (see
@@ -174,9 +224,24 @@ func (c *ParallelCollector) TrackMonitors() {
 	if c.tracesCh != nil {
 		panic("core: TrackMonitors called on a running ParallelCollector")
 	}
-	if c.monitors == nil {
-		c.monitors = make(map[string]*monitorAcc)
+	if c.monIDs == nil {
+		c.monIDs = make(map[string]uint32)
 	}
+}
+
+// monitorID returns name's collector-wide id, assigning the next one on
+// first sight.
+func (c *ParallelCollector) monitorID(name string) uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, ok := c.monIDs[name]
+	if !ok {
+		id = uint32(len(c.monNames))
+		name = strings.Clone(name)
+		c.monIDs[name] = id
+		c.monNames = append(c.monNames, name)
+	}
+	return id
 }
 
 // Add enqueues one trace for sanitisation (§4.1) and evidence
@@ -243,12 +308,17 @@ func (c *ParallelCollector) drain() {
 // collector's run lists or — in out-of-core mode — the worker's own
 // spill segment, so the resident set stays bounded.
 //
-// Two direct-mapped filters keep repeats off the maps. An address-filter
-// entry holds an address and the flags its map entry had when cached:
-// a sighting is a hit only if those flags cover what it needs, so a
-// seen-only entry never hides a later retained sighting. An
+// Direct-mapped filters keep repeats off the maps and runs. An
+// address-filter entry holds an address and the flags its map entry had
+// when cached: a sighting is a hit only if those flags cover what it
+// needs, so a seen-only entry never hides a later retained sighting. An
 // adjacency-filter hit means this worker has already routed that
-// adjacency, which its shard keeps (or has spilled) for good.
+// adjacency, which its shard keeps (or has spilled) until the next
+// Finish folds it into the base run. With TrackMonitors, each
+// adjacency of a retained trace first meets the monitor filter, whose
+// entry is a whole (monitor id, adjacency) pair: a hit means this
+// worker has already appended the pair to its attribution run and
+// routed the adjacency, so it skips the adjacency filter too.
 func (c *ParallelCollector) sanitizeWorker() {
 	defer c.sanWG.Done()
 	addrs := make(map[inet.Addr]uint8)
@@ -256,9 +326,22 @@ func (c *ParallelCollector) sanitizeWorker() {
 	addrFilter := new([1 << addrFilterBits]uint64) // flags<<32 | addr
 	adjFilter := new([1 << adjFilterBits]uint64)   // First<<32 | Second
 	var stats trace.Stats
-	var monitors map[string]*monitorAcc
-	if c.monitors != nil {
-		monitors = make(map[string]*monitorAcc)
+	// Attribution, when tracking: a cache of the collector's monitor
+	// ids, and per id the retained traces, the adjacency keys that
+	// missed the monitor filter, and the length at which those keys are
+	// next sorted and deduplicated in place. An evicted pair misses
+	// again, so without that compaction a list would grow with the
+	// sightings rather than with the distinct pairs.
+	var (
+		monIDs       map[string]uint32
+		monFilter    *[1 << monFilterBits]monAdj
+		monTraces    []int
+		monKeys      [][]uint64
+		monCompactAt []int
+	)
+	if c.monIDs != nil {
+		monIDs = make(map[string]uint32)
+		monFilter = new([1 << monFilterBits]monAdj)
 	}
 	bufs := make([]*[]trace.Adjacency, len(c.shardCh))
 	for s := range bufs {
@@ -303,12 +386,37 @@ func (c *ParallelCollector) sanitizeWorker() {
 				continue
 			}
 			scratch = trace.Adjacencies(clean, scratch[:0])
-			if monitors != nil {
-				recordMonitor(monitors, t.Monitor, scratch)
+			var mon uint32
+			if monFilter != nil {
+				id, ok := monIDs[t.Monitor]
+				if !ok {
+					id = c.monitorID(t.Monitor)
+					monIDs[t.Monitor] = id
+					for int(id) >= len(monTraces) {
+						monTraces = append(monTraces, 0)
+						monKeys = append(monKeys, nil)
+						monCompactAt = append(monCompactAt, monCompactMin)
+					}
+				}
+				mon = id
+				monTraces[mon]++
 			}
 			for _, adj := range scratch {
 				key := adjKey(adj)
 				h := adjHash(key)
+				if monFilter != nil {
+					pair := monAdj{mon, adj}
+					slot := &monFilter[monSlot(h, mon)]
+					if *slot == pair {
+						continue
+					}
+					*slot = pair
+					monKeys[mon] = append(monKeys[mon], key)
+					if len(monKeys[mon]) >= monCompactAt[mon] {
+						monKeys[mon] = sortedKeys(monKeys[mon])
+						monCompactAt[mon] = max(2*len(monKeys[mon]), monCompactMin)
+					}
+				}
 				slot := &adjFilter[h>>(64-adjFilterBits)]
 				if *slot == key {
 					continue
@@ -344,22 +452,21 @@ func (c *ParallelCollector) sanitizeWorker() {
 	if sp == nil || !sp.flushFlaggedAddrs(addrs) {
 		allRun, retRun = sortFlagged(addrs, make([]inet.Addr, 0, len(addrs)), make([]inet.Addr, 0, retained))
 	}
+	monRun := attributionRun(monKeys)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if allRun != nil {
 		c.allRuns = append(c.allRuns, allRun)
 		c.retRuns = append(c.retRuns, retRun)
 	}
-	for name, acc := range monitors {
-		dst := c.monitors[name]
-		if dst == nil {
-			c.monitors[name] = acc
-			continue
-		}
-		dst.traces += acc.traces
-		for adj := range acc.adjs {
-			dst.adjs[adj] = struct{}{}
-		}
+	if len(monRun) > 0 {
+		c.monRuns = append(c.monRuns, monRun)
+	}
+	if n := len(c.monNames) - len(c.monTraces); n > 0 {
+		c.monTraces = append(c.monTraces, make([]int, n)...)
+	}
+	for id, n := range monTraces {
+		c.monTraces[id] += n
 	}
 	c.stats.TotalTraces += stats.TotalTraces
 	c.stats.DiscardedTraces += stats.DiscardedTraces
@@ -391,6 +498,29 @@ func sortFlagged(set map[inet.Addr]uint8, all, ret []inet.Addr) ([]inet.Addr, []
 		}
 	}
 	return all, ret
+}
+
+// sortedKeys sorts and deduplicates keys in place.
+func sortedKeys(keys []uint64) []uint64 {
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// attributionRun sorts and deduplicates a worker's adjacency keys per
+// monitor id into one run of pairs in (id, First, Second) order.
+func attributionRun(keys [][]uint64) []monAdj {
+	n := 0
+	for id, ks := range keys {
+		keys[id] = sortedKeys(ks)
+		n += len(keys[id])
+	}
+	run := make([]monAdj, 0, n)
+	for id, ks := range keys {
+		for _, k := range ks {
+			run = append(run, monAdj{uint32(id), trace.Adjacency{First: inet.Addr(k >> 32), Second: inet.Addr(k)}})
+		}
+	}
+	return run
 }
 
 // shardOwner deduplicates the adjacency batches routed to shard i. Each
@@ -436,9 +566,10 @@ func (c *ParallelCollector) Evidence() *Evidence {
 
 // Finish drains the pipeline and finalises the collected evidence:
 // per-shard parallel sorts followed by a k-way loser-tree merge of the
-// sorted shard runs — plus, in out-of-core mode, every spilled run —
-// yielding the globally sorted unique adjacency slice. The collector
-// remains usable afterwards.
+// sorted shard runs and the base run — plus, in out-of-core mode, every
+// spilled run — yielding the globally sorted unique adjacency slice.
+// The collector remains usable afterwards, and never writes into
+// evidence it has returned.
 func (c *ParallelCollector) Finish() (*Evidence, error) {
 	c.drain()
 	if c.spill == nil || !c.spill.spilled() {
@@ -449,11 +580,11 @@ func (c *ParallelCollector) Finish() (*Evidence, error) {
 		}
 		return c.evidenceInMemory(), nil
 	}
-	ev, err := c.spill.mergeEvidence(c.sortShards(), c.allRuns, c.retRuns, c.stats)
+	ev, err := c.spill.mergeEvidence(append(c.sortShards(), c.base), c.allRuns, c.retRuns, c.stats)
 	if err != nil {
 		return nil, err
 	}
-	ev.Monitors = monitorEvidence(c.monitors)
+	ev.Monitors = c.attribution()
 	return ev, nil
 }
 
@@ -482,18 +613,19 @@ func (c *ParallelCollector) Close() error {
 }
 
 // sortShards extracts and sorts every shard's residue in parallel into
-// the reused scratch runs.
+// fresh runs, leaving room to append one more.
 func (c *ParallelCollector) sortShards() [][]trace.Adjacency {
+	runs := make([][]trace.Adjacency, len(c.shards), len(c.shards)+1)
 	var wg sync.WaitGroup
 	for i, shard := range c.shards {
 		wg.Add(1)
 		go func(i int, shard map[trace.Adjacency]struct{}) {
 			defer wg.Done()
-			c.sortScratch[i] = sortAdjacencySet(shard, c.sortScratch[i])
+			runs[i] = sortAdjacencySet(shard, nil)
 		}(i, shard)
 	}
 	wg.Wait()
-	return c.sortScratch
+	return runs
 }
 
 // sortAdjacencySet writes set's adjacencies into dst's storage in the
@@ -506,6 +638,9 @@ func sortAdjacencySet(set map[trace.Adjacency]struct{}, dst []trace.Adjacency) [
 		keys = append(keys, adjKey(adj))
 	}
 	slices.Sort(keys)
+	if cap(dst) < len(keys) {
+		dst = make([]trace.Adjacency, 0, len(keys))
+	}
 	dst = dst[:0]
 	for _, k := range keys {
 		dst = append(dst, trace.Adjacency{First: inet.Addr(k >> 32), Second: inet.Addr(k)})
@@ -513,14 +648,15 @@ func sortAdjacencySet(set map[trace.Adjacency]struct{}, dst []trace.Adjacency) [
 	return dst
 }
 
-// evidenceInMemory merges the sorted shard and address runs without
-// touching disk; the address runs merge while the shards sort. Shards
-// partition the adjacency space, so the dedup in the shared merge is a
-// no-op there and the output matches the serial Collector exactly. The
-// address runs are compacted into their merge, so a long-lived
-// collector's next finalisation merges one run per set plus what
-// arrived since; AllAddrs is built fresh, insulating the evidence from
-// later Adds.
+// evidenceInMemory merges the sorted shard, base and address runs
+// without touching disk; the address runs merge while the shards sort.
+// Shards partition the adjacency space and the merge drops what the
+// base already holds, so the output matches the serial Collector
+// exactly. Every run list is compacted into its merge and the shards
+// are emptied, so a long-lived collector's next finalisation sorts only
+// what arrived since and merges it with one run per list.
+// Evidence.Adjacencies is the new base run, which nothing writes;
+// AllAddrs and Monitors are built fresh.
 func (c *ParallelCollector) evidenceInMemory() *Evidence {
 	var all, ret []inet.Addr
 	var allAddrs inet.AddrSet
@@ -534,7 +670,10 @@ func (c *ParallelCollector) evidenceInMemory() *Evidence {
 			allAddrs[a] = struct{}{}
 		}
 	}()
-	adjs := mergeRuns(c.sortShards(), adjacencyCmp)
+	adjs := mergeRuns(append(c.sortShards(), c.base), adjacencyCmp)
+	c.base = adjs
+	c.resetShards()
+	monitors := c.attribution()
 	<-done
 	c.allRuns, c.retRuns = [][]inet.Addr{all}, [][]inet.Addr{ret}
 	stats := c.stats
@@ -544,8 +683,36 @@ func (c *ParallelCollector) evidenceInMemory() *Evidence {
 		AllAddrs:    allAddrs,
 		Adjacencies: adjs,
 		Stats:       stats,
-		Monitors:    monitorEvidence(c.monitors),
+		Monitors:    monitors,
 	}
+}
+
+// attribution merges and compacts the attribution runs, then slices
+// the merged run per monitor into Evidence.Monitors, sorted by name;
+// nil when tracking is off. The slices are fresh, so later Finishes
+// never touch them.
+func (c *ParallelCollector) attribution() []MonitorEvidence {
+	if c.monIDs == nil {
+		return nil
+	}
+	run := mergeRuns(c.monRuns, monAdjCmp)
+	c.monRuns = [][]monAdj{run}
+	adjs := make([]trace.Adjacency, len(run))
+	for i, p := range run {
+		adjs[i] = p.adj
+	}
+	out := make([]MonitorEvidence, len(c.monNames))
+	lo := 0
+	for id, name := range c.monNames {
+		hi := lo
+		for hi < len(run) && run[hi].mon == uint32(id) {
+			hi++
+		}
+		out[id] = MonitorEvidence{Monitor: name, Traces: c.monTraces[id], Adjacencies: adjs[lo:hi:hi]}
+		lo = hi
+	}
+	slices.SortFunc(out, func(a, b MonitorEvidence) int { return strings.Compare(a.Monitor, b.Monitor) })
+	return out
 }
 
 // adjKey packs an adjacency into one word, First<<32|Second; keys

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -274,14 +275,55 @@ func diffEvidence(want, got *Evidence) string {
 	return ""
 }
 
+// cloneEvidence deep-copies ev, keeping nil and empty slices apart.
+func cloneEvidence(ev *Evidence) *Evidence {
+	cp := &Evidence{
+		AllAddrs:    maps.Clone(ev.AllAddrs),
+		Adjacencies: slices.Clone(ev.Adjacencies),
+		Stats:       ev.Stats,
+		Monitors:    slices.Clone(ev.Monitors),
+	}
+	for i := range cp.Monitors {
+		cp.Monitors[i].Adjacencies = slices.Clone(cp.Monitors[i].Adjacencies)
+	}
+	return cp
+}
+
+// runSlack describes a compacted run of c that keeps capacity beyond
+// its length, or returns "". A spilling collector leaves its address
+// runs on disk, so they are checked only once compacted in memory.
+func runSlack(c *ParallelCollector) string {
+	if len(c.monRuns) > 1 {
+		return "attribution runs not compacted into one"
+	}
+	runs := map[string][2]int{"base": {len(c.base), cap(c.base)}}
+	for _, r := range c.monRuns {
+		runs["attribution"] = [2]int{len(r), cap(r)}
+	}
+	if len(c.allRuns) == 1 && len(c.retRuns) == 1 {
+		runs["address"] = [2]int{len(c.allRuns[0]), cap(c.allRuns[0])}
+		runs["retained-address"] = [2]int{len(c.retRuns[0]), cap(c.retRuns[0])}
+	}
+	for name, lc := range runs {
+		if lc[0] != lc[1] {
+			return fmt.Sprintf("%s run of length %d has capacity %d", name, lc[0], lc[1])
+		}
+	}
+	return ""
+}
+
 // TestParallelCollectorFiltersTransparent: the sanitise workers'
-// direct-mapped filters must change nothing. For random corpora over
-// colliding addresses, cut into segments with a Finish after each, the
-// collector at 1, 2 and 8 workers, in memory and spilling every few
-// entries, must return exactly the serial Collector's evidence and
-// monitor attribution at every Finish. A single spilling worker must
-// also spill exactly the address runs a filterless worker would, so a
-// filter that outlives its map's flush shows.
+// direct-mapped filters and the runs every Finish compacts must change
+// nothing. For random corpora over colliding addresses, cut into two to
+// four segments with a Finish after each, the collector at 1, 2 and 8
+// workers — in memory, spilling every few entries, and in memory for
+// the first segment but spilling from then on, so that the base run
+// the first Finish leaves meets a spill merge — must return exactly the
+// serial Collector's evidence and monitor attribution at every Finish.
+// No Finish may change evidence an earlier one returned. A single
+// worker spilling from the start must also spill exactly the address
+// runs a filterless worker would, so a filter that outlives its map's
+// flush shows.
 func TestParallelCollectorFiltersTransparent(t *testing.T) {
 	pool := filterPool(8, 4)
 	dir := t.TempDir()
@@ -289,20 +331,28 @@ func TestParallelCollectorFiltersTransparent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		traces := filterCorpus(rng, pool)
 		cuts := []int{0, len(traces)}
-		for k := rng.Intn(3); k > 0; k-- {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
 			cuts = append(cuts, 1+rng.Intn(len(traces)-1))
 		}
 		slices.Sort(cuts)
 		runEntries := 1 + rng.Intn(4)
+		spill := SpillConfig{Dir: dir, RunEntries: runEntries}
 		for _, workers := range []int{1, 2, 8} {
-			for _, cfg := range []SpillConfig{{}, {Dir: dir, RunEntries: runEntries}} {
-				label := fmt.Sprintf("seed=%d workers=%d RunEntries=%d", seed, workers, cfg.RunEntries)
+			for _, row := range []struct {
+				name        string
+				early, late SpillConfig
+			}{{"memory", SpillConfig{}, SpillConfig{}}, {"spill", spill, spill}, {"late-spill", SpillConfig{}, spill}} {
+				label := fmt.Sprintf("seed=%d workers=%d %s RunEntries=%d", seed, workers, row.name, runEntries)
 				serial := NewCollector()
 				serial.TrackMonitors()
-				par := NewParallelCollectorSpill(workers, cfg)
+				par := NewParallelCollectorSpill(workers, row.early)
 				par.TrackMonitors()
+				var returned, copies []*Evidence
 				wantRuns, wantEntries := 0, 0
 				for i := 1; i < len(cuts); i++ {
+					if i == 2 && row.late != row.early {
+						par.enableSpill(row.late)
+					}
 					seg := traces[cuts[i-1]:cuts[i]]
 					for _, tc := range seg {
 						serial.Add(tc)
@@ -317,8 +367,13 @@ func TestParallelCollectorFiltersTransparent(t *testing.T) {
 						t.Logf("%s, Finish %d: %s", label, i, d)
 						return false
 					}
-					if workers == 1 && cfg.RunEntries > 0 {
-						r, e := addrSpillModel(seg, cfg.RunEntries)
+					returned, copies = append(returned, got), append(copies, cloneEvidence(got))
+					if d := runSlack(par); d != "" {
+						t.Logf("%s, Finish %d: %s", label, i, d)
+						return false
+					}
+					if workers == 1 && row.early.RunEntries > 0 {
+						r, e := addrSpillModel(seg, runEntries)
 						wantRuns, wantEntries = wantRuns+r, wantEntries+e
 						if r, e := spilledAddrs(par); r != wantRuns || e != wantEntries {
 							t.Logf("%s, Finish %d: %d address runs of %d entries, want %d of %d",
@@ -326,6 +381,16 @@ func TestParallelCollectorFiltersTransparent(t *testing.T) {
 							return false
 						}
 					}
+				}
+				for i := range returned {
+					if d := diffEvidence(copies[i], returned[i]); d != "" {
+						t.Logf("%s: evidence of Finish %d changed later: %s", label, i+1, d)
+						return false
+					}
+				}
+				if row.late.RunEntries > 0 && par.SpillStats().AdjRuns == 0 {
+					t.Logf("%s: spilled no adjacency run", label)
+					return false
 				}
 				if err := par.Close(); err != nil {
 					t.Logf("%s: Close: %v", label, err)
@@ -341,5 +406,55 @@ func TestParallelCollectorFiltersTransparent(t *testing.T) {
 	}
 	if err := quick.Check(f, quickCfg(n)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParallelCollectorMonitorFilterExact: a monitor-filter hit must
+// mean this very (monitor, adjacency) pair, and the worker's in-place
+// compaction of its attribution keys must lose none. The random corpora
+// have too few monitors for two of them to meet in one slot, so here
+// one worker (ids then follow first sight) sees monitors 0..m over one
+// shared link, m being the first id whose slot for that link is
+// monitor 0's; then one monitor sends enough distinct links, six
+// times over, that evicted pairs miss again and its key list is
+// compacted several times before retirement.
+func TestParallelCollectorMonitorFilterExact(t *testing.T) {
+	a, b := inet.Addr(0x08080801), inet.Addr(0x08080802)
+	h := adjHash(adjKey(trace.Adjacency{First: a, Second: b}))
+	m := uint32(1)
+	for monSlot(h, m) != monSlot(h, 0) {
+		m++
+	}
+	var traces []trace.Trace
+	for id := uint32(0); id <= m; id++ {
+		traces = append(traces, trace.NewTrace(fmt.Sprintf("mon-%05d", id), 0x0b000001, a, b))
+	}
+	const links, perTrace = 4 * monCompactMin, 64
+	for round := 0; round < 6; round++ {
+		for lo := 0; lo < links; lo += perTrace {
+			hops := make([]inet.Addr, perTrace+1)
+			for j := range hops {
+				hops[j] = inet.Addr(0x0c000000 + lo + j)
+			}
+			traces = append(traces, trace.NewTrace("mon-busy", 0x0b000002, hops...))
+		}
+	}
+	serial := NewCollector()
+	serial.TrackMonitors()
+	par := NewParallelCollector(1)
+	par.TrackMonitors()
+	for _, tc := range traces {
+		serial.Add(tc)
+		par.Add(tc)
+	}
+	got, err := par.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffEvidence(serial.Evidence(), got); d != "" {
+		t.Fatalf("evidence differs from the serial collector's (monitors 0 and %d share a slot for one link): %s", m, d)
+	}
+	if last := got.Monitors[m]; len(last.Adjacencies) != 1 {
+		t.Fatalf("%s has %d adjacencies, want the shared link", last.Monitor, len(last.Adjacencies))
 	}
 }

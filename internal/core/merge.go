@@ -151,7 +151,9 @@ func mergeDedup[T comparable](srcs []mergeSource[T], cmp func(a, b T) int, yield
 }
 
 // mergeRuns merges in-memory sorted, duplicate-free runs into one fresh
-// sorted, duplicate-free slice.
+// sorted, duplicate-free slice of exactly its length: a collector keeps
+// the result as its compacted run, so it must not carry the slack that
+// collapsed duplicates leave.
 func mergeRuns[T comparable](runs [][]T, cmp func(a, b T) int) []T {
 	total := 0
 	srcs := make([]mergeSource[T], len(runs))
@@ -163,6 +165,9 @@ func mergeRuns[T comparable](runs [][]T, cmp func(a, b T) int) []T {
 	// Slice sources cannot fail, so the merge cannot either.
 	if err := mergeDedup(srcs, cmp, func(v T) { out = append(out, v) }); err != nil {
 		panic("core: in-memory merge failed: " + err.Error())
+	}
+	if len(out) < cap(out) {
+		out = append(make([]T, 0, len(out)), out...)
 	}
 	return out
 }

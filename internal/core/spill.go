@@ -319,9 +319,9 @@ func addrCursorSource(f *os.File, run trace.SegmentRun) (mergeSource[inet.Addr],
 }
 
 // mergeEvidence finalises a spilled collector: every spilled run joins
-// the in-memory runs (sorted, duplicate-free slices: the shard residues
-// and the collector's address runs) in one
-// bounded-memory k-way merge per stream. stats must carry the ingest
+// the in-memory runs (sorted, duplicate-free slices: the shard residues,
+// the base run an earlier in-memory Finish left, and the collector's
+// address runs) in one bounded-memory k-way merge per stream. stats must carry the ingest
 // counters; the distinct/retained address counts come out of the merge.
 // Peak extra memory is one page buffer per open cursor plus the final
 // evidence itself.
