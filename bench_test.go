@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -530,6 +531,72 @@ func ingestSpill(b *testing.B, corpus string, cfg mapit.SpillConfig, sample func
 	return st
 }
 
+// encodeCorpusV3 encodes w's traces under the default trace config with
+// the given seed and destinations per monitor as an in-memory MTRC v3
+// corpus.
+func encodeCorpusV3(b *testing.B, w *mapit.World, seed int64, dests int) []byte {
+	b.Helper()
+	tc := mapit.DefaultTraceConfig()
+	tc.Seed, tc.DestsPerMonitor = seed, dests
+	var buf bytes.Buffer
+	bw, err := trace.NewBlockWriter(&buf, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.StreamTraces(tc, func(t mapit.Trace) bool {
+		err = bw.Add(t)
+		return err == nil
+	})
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// cpuTime is the CPU time, user and system, the process has used.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkIngest is the batch ingest path: Ingestor.Ingest and Finish
+// of a 192k-trace in-memory MTRC v3 corpus at Workers 1 and 2. bytes/op
+// is the encoded corpus, so MB/s is ingest throughput. cpu-ms/op is the
+// process CPU time per op and cpu-util its ratio to wall time, so cores
+// left idle by the pipeline show.
+func BenchmarkIngest(b *testing.B) {
+	corpus := encodeCorpusV3(b, mapit.GenerateWorld(mapit.DefaultWorldConfig()), 2, 6000)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(corpus)))
+			cpu0, wall0 := cpuTime(b), time.Now()
+			for i := 0; i < b.N; i++ {
+				g := mapit.NewIngestor(mapit.IngestOptions{Workers: workers})
+				if _, err := g.Ingest(bytes.NewReader(corpus)); err != nil {
+					b.Fatal(err)
+				}
+				ev, err := g.Finish()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ev.Adjacencies) == 0 {
+					b.Fatal("no evidence collected")
+				}
+				g.Close()
+			}
+			cpu, wall := cpuTime(b)-cpu0, time.Since(wall0)
+			b.ReportMetric(float64(cpu.Milliseconds())/float64(b.N), "cpu-ms/op")
+			b.ReportMetric(cpu.Seconds()/wall.Seconds(), "cpu-util")
+		})
+	}
+}
+
 // BenchmarkIngestorRepublish is mapitd's ingest pattern: one long-lived
 // Ingestor with TrackMonitors loads a 192k-trace startup corpus and
 // finishes, then folds in six 24k-trace batches (the bench's
@@ -545,26 +612,7 @@ func BenchmarkIngestorRepublish(b *testing.B) {
 		batches      = 6
 	)
 	w := mapit.GenerateWorld(mapit.DefaultWorldConfig())
-	encode := func(seed int64, dests int) []byte {
-		tc := mapit.DefaultTraceConfig()
-		tc.Seed, tc.DestsPerMonitor = seed, dests
-		var buf bytes.Buffer
-		bw, err := trace.NewBlockWriter(&buf, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.StreamTraces(tc, func(t mapit.Trace) bool {
-			err = bw.Add(t)
-			return err == nil
-		})
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	encode := func(seed int64, dests int) []byte { return encodeCorpusV3(b, w, seed, dests) }
 	startup := encode(2, startupDests)
 	corpora := make([][]byte, batches)
 	for k := range corpora {

@@ -46,8 +46,9 @@ func NewWindow(opt WindowOptions) (*Window, error) { return core.NewWindow(opt) 
 
 // DecodeTraces sniffs the trace format of r (text, JSONL, or binary
 // MTRC v2/v3/v4) and delivers every decoded trace to fn in stream
-// order — the decode loop under both the batch Ingestor and the
-// windowed replay paths.
+// order — the decode loop under the windowed replay paths. The batch
+// Ingestor shares its sniffing and decodes v3/v4 blocks in its sanitise
+// workers instead.
 func DecodeTraces(r io.Reader, opt trace.DecodeOptions, fn func(trace.Trace) error) (int, error) {
 	return core.DecodeTraces(r, opt, fn)
 }

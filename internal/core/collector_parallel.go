@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -11,10 +12,13 @@ import (
 	"mapit/internal/trace"
 )
 
-// Batch sizes for the parallel ingest pipeline: traces travel to the
-// sanitise workers in batches (amortising channel overhead across the
-// per-trace work) and adjacencies travel to the shard owners in batches
-// (amortising it across the per-adjacency work).
+// Batch sizes for the parallel ingest pipeline: traces that Add takes
+// one at a time travel to the sanitise workers in batches (amortising
+// channel overhead across the per-trace work; a block frame carries its
+// own traces), and adjacencies travel to the shard owners in batches
+// (amortising it across the per-adjacency work). A worker checks its
+// spill budget after every traceBatchSize traces, whichever way they
+// came.
 const (
 	traceBatchSize = 256
 	adjBatchSize   = 512
@@ -104,13 +108,15 @@ func addrSlot(a inet.Addr) uint32 {
 	return uint32(a) * 0x9e3779b1 >> (32 - addrFilterBits)
 }
 
-// ParallelCollector is a sharded, concurrent Collector: traces fan out
-// to sanitise workers, each worker routes the surviving adjacencies by
-// hash to per-shard deduplication sets, and Evidence() sorts the shards
-// in parallel and k-way merges them. Because the shards partition the
-// adjacency space and each is sorted before the merge, the merged slice
-// — and every Stats field — is byte-identical to what the serial
-// Collector produces for the same traces, in any worker configuration.
+// ParallelCollector is a sharded, concurrent Collector: traces — or the
+// MTRC v3/v4 block frames an Ingestor lifts, which the workers decode —
+// fan out to sanitise workers, each worker routes the surviving
+// adjacencies by hash to per-shard deduplication sets, and Evidence()
+// sorts the shards in parallel and k-way merges them. Because the
+// shards partition the adjacency space and each is sorted before the
+// merge, the merged slice — and every Stats field — is byte-identical
+// to what the serial Collector produces for the same traces, in any
+// worker configuration.
 //
 // With a SpillConfig (NewParallelCollectorSpill), shard owners spill
 // their adjacency sets and workers spill their address sets to columnar
@@ -153,22 +159,102 @@ type ParallelCollector struct {
 	monRuns   [][]monAdj
 
 	// Out-of-core state; spill is nil for an in-memory collector.
-	// shardSpillers persist across pipeline restarts so each shard keeps
-	// appending runs to its own segment file. shardLimit / workerLimit
-	// are the per-party shares of the byte budget.
-	spill         *spillSink
-	shardSpillers []*spiller
-	shardLimit    int64
-	workerLimit   int64
+	// shardSpillers and workerSpillers persist across pipeline restarts
+	// so each shard, and each sanitise worker slot, keeps appending runs
+	// to its own segment file. shardLimit / workerLimit are the
+	// per-party shares of the byte budget.
+	spill          *spillSink
+	shardSpillers  []*spiller
+	workerSpillers []*spiller
+	shardLimit     int64
+	workerLimit    int64
 
 	// Live pipeline; nil between Evidence() and the next Add. batch is
 	// the trace batch being filled, nil until the next Add takes one
-	// from traceBatchPool.
-	tracesCh chan *[]trace.Trace
-	shardCh  []chan *[]trace.Adjacency
-	sanWG    sync.WaitGroup
-	shardWG  sync.WaitGroup
-	batch    *[]trace.Trace
+	// from traceBatchPool. frameBufs holds the payload buffers of block
+	// frames, one per worker, so at most that many frames are lifted and
+	// not yet decoded (see addFrames); a worker hands its frame's buffer
+	// back once the frame is decoded.
+	work      chan work
+	frameBufs chan []byte
+	shardCh   []chan *[]trace.Adjacency
+	sanWG     sync.WaitGroup
+	shardWG   sync.WaitGroup
+	batch     *[]trace.Trace
+}
+
+// work is one item for a sanitise worker: a trace batch from Add, or a
+// block frame that addFrames lifted and the worker decodes. A frame is
+// the seq'th of its stream, whose decode outcomes run orders.
+type work struct {
+	batch *[]trace.Trace
+	frame trace.Frame
+	run   *frameRun
+	seq   int
+}
+
+// frameRun orders the decode outcomes of one framed stream: frames
+// settle in stream order, and a worker collects a frame's traces only
+// once every earlier frame has settled, and only if none of them failed
+// a strict decode. So the evidence, the trace count and the decode
+// stats of a stream are what a serial decode of it yields, however the
+// frames spread over the workers.
+type frameRun struct {
+	permissive bool
+
+	mu      sync.Mutex
+	settled sync.Cond
+	next    int                 // frames settled
+	traces  int                 // traces in the frames settled clean
+	stats   trace.DecodeStats   // their outcomes (see trace.DecodeStats.Settle)
+	err     *trace.CorruptError // the strict failure that ended the stream
+}
+
+func newFrameRun(permissive bool) *frameRun {
+	r := &frameRun{permissive: permissive}
+	r.settled.L = &r.mu
+	return r
+}
+
+// settle waits until every frame before the seq'th has settled, then
+// settles f with its decode outcome err. It reports whether the worker
+// should collect f's traces.
+func (r *frameRun) settle(seq int, f *trace.Frame, err *trace.CorruptError) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.next < seq {
+		r.settled.Wait()
+	}
+	r.next++
+	r.settled.Broadcast()
+	if r.err != nil {
+		return false // the stream ended before f
+	}
+	r.stats.Settle(f, err, r.permissive)
+	if err != nil {
+		if !r.permissive {
+			r.err = err
+		}
+		return false
+	}
+	r.traces += f.Traces()
+	return true
+}
+
+// stopped reports whether a strict failure has ended the stream.
+func (r *frameRun) stopped() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err != nil
+}
+
+// wait blocks until the first frames frames have settled.
+func (r *frameRun) wait(frames int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.next < frames {
+		r.settled.Wait()
+	}
 }
 
 // NewParallelCollector returns an empty sharded collector with the given
@@ -207,10 +293,14 @@ func (c *ParallelCollector) resetShards() {
 // pipeline run on.
 func (c *ParallelCollector) enableSpill(cfg SpillConfig) {
 	c.spill = newSpillSink(cfg)
-	c.shardSpillers = make([]*spiller, len(c.shards))
-	for i := range c.shardSpillers {
-		c.shardSpillers[i] = newSpiller(c.spill)
+	spillers := func(n int) []*spiller {
+		sp := make([]*spiller, n)
+		for i := range sp {
+			sp[i] = newSpiller(c.spill)
+		}
+		return sp
 	}
+	c.shardSpillers, c.workerSpillers = spillers(len(c.shards)), spillers(c.workers)
 	// Split the byte budget half to the adjacency shards, half to the
 	// workers' address sets, evenly within each side.
 	c.shardLimit = cfg.MemBudget / 2 / int64(len(c.shards))
@@ -221,7 +311,7 @@ func (c *ParallelCollector) enableSpill(cfg SpillConfig) {
 // Collector.TrackMonitors). It must be called before the first Add of a
 // pipeline run — workers snapshot the setting when they start.
 func (c *ParallelCollector) TrackMonitors() {
-	if c.tracesCh != nil {
+	if c.work != nil {
 		panic("core: TrackMonitors called on a running ParallelCollector")
 	}
 	if c.monIDs == nil {
@@ -255,9 +345,44 @@ func (c *ParallelCollector) Add(t trace.Trace) {
 	}
 	*c.batch = append(*c.batch, t)
 	if len(*c.batch) >= traceBatchSize {
-		c.tracesCh <- c.batch
+		c.work <- work{batch: c.batch}
 		c.batch = nil
 	}
+}
+
+// addFrames lifts every block frame off a framed stream and hands each
+// to a sanitise worker, which decodes and collects it (see frameRun).
+// reader is the stream's own decode-stats sink. It returns once every
+// frame it lifted has settled, with the stream's trace count, its
+// decode stats — reader's counters joined with the frames' outcomes —
+// and the first failure in stream order.
+func (c *ParallelCollector) addFrames(br *trace.BinaryReader, permissive bool, reader *trace.DecodeStats) (int, trace.DecodeStats, error) {
+	c.start()
+	run := newFrameRun(permissive)
+	frames := 0
+	var err error
+	for !run.stopped() {
+		buf := <-c.frameBufs
+		var f trace.Frame
+		f, err = br.NextFrame(buf)
+		if err != nil {
+			c.frameBufs <- buf
+			break
+		}
+		c.work <- work{frame: f, run: run, seq: frames}
+		frames++
+	}
+	run.wait(frames)
+	c.added += run.traces
+	if run.err != nil {
+		return run.traces, run.stats, run.err
+	}
+	stats := *reader
+	stats.Merge(&run.stats)
+	if err == io.EOF {
+		err = nil
+	}
+	return run.traces, stats, err
 }
 
 // Traces returns how many traces have been enqueued.
@@ -265,10 +390,14 @@ func (c *ParallelCollector) Traces() int { return c.added }
 
 // start spins up the pipeline if it is not already running.
 func (c *ParallelCollector) start() {
-	if c.tracesCh != nil {
+	if c.work != nil {
 		return
 	}
-	c.tracesCh = make(chan *[]trace.Trace, 2*c.workers)
+	c.work = make(chan work, 2*c.workers)
+	c.frameBufs = make(chan []byte, c.workers)
+	for range c.workers {
+		c.frameBufs <- nil
+	}
 	c.shardCh = make([]chan *[]trace.Adjacency, len(c.shards))
 	for i := range c.shardCh {
 		c.shardCh[i] = make(chan *[]trace.Adjacency, 2*c.workers)
@@ -277,36 +406,37 @@ func (c *ParallelCollector) start() {
 	}
 	for w := 0; w < c.workers; w++ {
 		c.sanWG.Add(1)
-		go c.sanitizeWorker()
+		go c.sanitizeWorker(w)
 	}
 }
 
 // drain flushes the pending batch and retires the pipeline, leaving the
 // accumulated shard sets and statistics ready to merge.
 func (c *ParallelCollector) drain() {
-	if c.tracesCh == nil {
+	if c.work == nil {
 		return
 	}
 	if c.batch != nil {
-		c.tracesCh <- c.batch
+		c.work <- work{batch: c.batch}
 		c.batch = nil
 	}
-	close(c.tracesCh)
+	close(c.work)
 	c.sanWG.Wait()
 	for _, ch := range c.shardCh {
 		close(ch)
 	}
 	c.shardWG.Wait()
-	c.tracesCh = nil
-	c.shardCh = nil
+	c.work, c.frameBufs, c.shardCh = nil, nil, nil
 }
 
-// sanitizeWorker consumes trace batches, sanitises each trace, and
-// routes its adjacencies to the owning shard. Addresses (in one flagged
-// map, see addrSeen) and statistics accumulate worker-locally; at
-// retirement the addresses leave as two sorted runs, into the
-// collector's run lists or — in out-of-core mode — the worker's own
-// spill segment, so the resident set stays bounded.
+// sanitizeWorker consumes work items — trace batches, and block frames
+// it decodes into its own scratch — sanitises each trace, and routes
+// its adjacencies to the owning shard. Decoded traces and their hops
+// alias that scratch and never leave the worker. Addresses (in one
+// flagged map, see addrSeen) and statistics accumulate worker-locally;
+// at retirement the addresses leave as two sorted runs, into the
+// collector's run lists or — in out-of-core mode — the segment of
+// worker idx, so the resident set stays bounded.
 //
 // Direct-mapped filters keep repeats off the maps and runs. An
 // address-filter entry holds an address and the flags its map entry had
@@ -319,7 +449,7 @@ func (c *ParallelCollector) drain() {
 // entry is a whole (monitor id, adjacency) pair: a hit means this
 // worker has already appended the pair to its attribution run and
 // routed the adjacency, so it skips the adjacency filter too.
-func (c *ParallelCollector) sanitizeWorker() {
+func (c *ParallelCollector) sanitizeWorker(idx int) {
 	defer c.sanWG.Done()
 	addrs := make(map[inet.Addr]uint8)
 	retained := 0                                  // addresses flagged addrRetained
@@ -350,92 +480,110 @@ func (c *ParallelCollector) sanitizeWorker() {
 	var scratch []trace.Adjacency
 	var sp *spiller
 	if c.spill != nil {
-		sp = newSpiller(c.spill)
+		sp = c.workerSpillers[idx]
 	}
-	for batch := range c.tracesCh {
-		for _, t := range *batch {
-			stats.TotalTraces++
-			clean, res := trace.Sanitize(t)
-			stats.RemovedHops += res.RemovedHops
-			// Without a discard, clean.Hops is t.Hops with the removed
-			// hops nulled, index for index.
-			for i, h := range t.Hops {
-				if !h.Responded() {
-					continue
-				}
-				want := addrSeen
-				if !res.Discarded && clean.Hops[i].Responded() {
-					want |= addrRetained
-				}
-				slot := &addrFilter[addrSlot(h.Addr)]
-				if uint32(*slot) == uint32(h.Addr) && want&^uint8(*slot>>32) == 0 {
-					continue
-				}
-				f := addrs[h.Addr]
-				if f&want != want {
-					if want&^f&addrRetained != 0 {
-						retained++
-					}
-					f |= want
-					addrs[h.Addr] = f
-				}
-				*slot = uint64(f)<<32 | uint64(h.Addr)
-			}
-			if res.Discarded {
-				stats.DiscardedTraces++
+	var dec trace.FrameDecoder
+	for w := range c.work {
+		var traces []trace.Trace
+		if w.run != nil {
+			decoded, derr := dec.Decode(&w.frame)
+			c.frameBufs <- w.frame.Payload()
+			if !w.run.settle(w.seq, &w.frame, derr) {
 				continue
 			}
-			scratch = trace.Adjacencies(clean, scratch[:0])
-			var mon uint32
-			if monFilter != nil {
-				id, ok := monIDs[t.Monitor]
-				if !ok {
-					id = c.monitorID(t.Monitor)
-					monIDs[t.Monitor] = id
-					for int(id) >= len(monTraces) {
-						monTraces = append(monTraces, 0)
-						monKeys = append(monKeys, nil)
-						monCompactAt = append(monCompactAt, monCompactMin)
-					}
-				}
-				mon = id
-				monTraces[mon]++
-			}
-			for _, adj := range scratch {
-				key := adjKey(adj)
-				h := adjHash(key)
-				if monFilter != nil {
-					pair := monAdj{mon, adj}
-					slot := &monFilter[monSlot(h, mon)]
-					if *slot == pair {
+			traces = decoded
+		} else {
+			traces = *w.batch
+		}
+		for len(traces) > 0 {
+			chunk := traces[:min(len(traces), traceBatchSize)]
+			traces = traces[len(chunk):]
+			for _, t := range chunk {
+				stats.TotalTraces++
+				clean, res := trace.Sanitize(t)
+				stats.RemovedHops += res.RemovedHops
+				// Without a discard, clean.Hops is t.Hops with the removed
+				// hops nulled, index for index.
+				for i, h := range t.Hops {
+					if !h.Responded() {
 						continue
 					}
-					*slot = pair
-					monKeys[mon] = append(monKeys[mon], key)
-					if len(monKeys[mon]) >= monCompactAt[mon] {
-						monKeys[mon] = sortedKeys(monKeys[mon])
-						monCompactAt[mon] = max(2*len(monKeys[mon]), monCompactMin)
+					want := addrSeen
+					if !res.Discarded && clean.Hops[i].Responded() {
+						want |= addrRetained
 					}
+					slot := &addrFilter[addrSlot(h.Addr)]
+					if uint32(*slot) == uint32(h.Addr) && want&^uint8(*slot>>32) == 0 {
+						continue
+					}
+					f := addrs[h.Addr]
+					if f&want != want {
+						if want&^f&addrRetained != 0 {
+							retained++
+						}
+						f |= want
+						addrs[h.Addr] = f
+					}
+					*slot = uint64(f)<<32 | uint64(h.Addr)
 				}
-				slot := &adjFilter[h>>(64-adjFilterBits)]
-				if *slot == key {
+				if res.Discarded {
+					stats.DiscardedTraces++
 					continue
 				}
-				*slot = key
-				s := int(h % uint64(len(bufs)))
-				buf := bufs[s]
-				*buf = append(*buf, adj)
-				if len(*buf) >= adjBatchSize {
-					c.shardCh[s] <- buf
-					bufs[s] = adjBatchPool.Get().(*[]trace.Adjacency)
+				scratch = trace.Adjacencies(clean, scratch[:0])
+				var mon uint32
+				if monFilter != nil {
+					id, ok := monIDs[t.Monitor]
+					if !ok {
+						id = c.monitorID(t.Monitor)
+						monIDs[t.Monitor] = id
+						for int(id) >= len(monTraces) {
+							monTraces = append(monTraces, 0)
+							monKeys = append(monKeys, nil)
+							monCompactAt = append(monCompactAt, monCompactMin)
+						}
+					}
+					mon = id
+					monTraces[mon]++
+				}
+				for _, adj := range scratch {
+					key := adjKey(adj)
+					h := adjHash(key)
+					if monFilter != nil {
+						pair := monAdj{mon, adj}
+						slot := &monFilter[monSlot(h, mon)]
+						if *slot == pair {
+							continue
+						}
+						*slot = pair
+						monKeys[mon] = append(monKeys[mon], key)
+						if len(monKeys[mon]) >= monCompactAt[mon] {
+							monKeys[mon] = sortedKeys(monKeys[mon])
+							monCompactAt[mon] = max(2*len(monKeys[mon]), monCompactMin)
+						}
+					}
+					slot := &adjFilter[h>>(64-adjFilterBits)]
+					if *slot == key {
+						continue
+					}
+					*slot = key
+					s := int(h % uint64(len(bufs)))
+					buf := bufs[s]
+					*buf = append(*buf, adj)
+					if len(*buf) >= adjBatchSize {
+						c.shardCh[s] <- buf
+						bufs[s] = adjBatchPool.Get().(*[]trace.Adjacency)
+					}
 				}
 			}
+			if sp != nil && c.addrsOverLimit(len(addrs), retained) && sp.flushFlaggedAddrs(addrs) {
+				addrs = make(map[inet.Addr]uint8)
+				retained = 0
+				clear(addrFilter[:])
+			}
 		}
-		putTraceBatch(batch)
-		if sp != nil && c.addrsOverLimit(len(addrs), retained) && sp.flushFlaggedAddrs(addrs) {
-			addrs = make(map[inet.Addr]uint8)
-			retained = 0
-			clear(addrFilter[:])
+		if w.batch != nil {
+			putTraceBatch(w.batch)
 		}
 	}
 	for s, buf := range bufs {
@@ -451,6 +599,10 @@ func (c *ParallelCollector) sanitizeWorker() {
 	var allRun, retRun []inet.Addr
 	if sp == nil || !sp.flushFlaggedAddrs(addrs) {
 		allRun, retRun = sortFlagged(addrs, make([]inet.Addr, 0, len(addrs)), make([]inet.Addr, 0, retained))
+	}
+	if sp != nil {
+		// The slot's spiller outlives this run; its sort scratch need not.
+		sp.allScratch, sp.retScratch = nil, nil
 	}
 	monRun := attributionRun(monKeys)
 	c.mu.Lock()

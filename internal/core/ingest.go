@@ -57,30 +57,67 @@ func NewIngestor(opt IngestOptions) *Ingestor {
 
 // Ingest sniffs the trace format of r from its first bytes and feeds
 // every trace into the collector, returning how many traces the stream
-// carried. Binary inputs stream record-at-a-time (corpora larger than
-// memory work, and the spill budget applies); text and JSONL inputs are
-// parsed whole. Unless Strict, corrupt binary v3 blocks are skipped and
-// tallied into DecodeStats. On error the evidence already collected
-// remains intact — a failed batch never corrupts the pipeline.
+// carried. Binary v3/v4 inputs stream frame by frame: Ingest only lifts
+// each block frame off the stream, and a sanitise worker decodes and
+// collects it, in stream order (corpora larger than memory work, and
+// the spill budget applies). Flat v2 inputs stream record by record,
+// and text and JSONL inputs are parsed whole. Unless Strict, corrupt
+// binary v3/v4 blocks are skipped and tallied into DecodeStats. On
+// error the evidence already collected remains intact — a failed batch
+// never corrupts the pipeline — and holds exactly the traces before
+// the failure, as the count says.
 func (g *Ingestor) Ingest(r io.Reader) (int, error) {
-	return DecodeTraces(r, trace.DecodeOptions{
-		Permissive: !g.opt.Strict,
-		Stats:      &g.stats,
-	}, func(t trace.Trace) error {
-		g.coll.Add(t)
-		return nil
-	})
+	permissive := !g.opt.Strict
+	// The stream's own sink: a framed stream's counters join the frames'
+	// outcomes, settled in stream order, before they reach g.stats.
+	var reader trace.DecodeStats
+	stream, ds, err := sniff(r, trace.DecodeOptions{Permissive: permissive, Stats: &reader})
+	switch {
+	case err != nil:
+		g.stats.Merge(&reader)
+		return 0, err
+	case ds != nil:
+		return feedDataset(ds, g.add)
+	case !stream.Framed():
+		n, err := feedStream(stream, g.add)
+		g.stats.Merge(&reader)
+		return n, err
+	}
+	n, stats, err := g.coll.addFrames(stream, permissive, &reader)
+	g.stats.Merge(&stats)
+	return n, err
+}
+
+// add hands one trace to the collector.
+func (g *Ingestor) add(t trace.Trace) error {
+	g.coll.Add(t)
+	return nil
 }
 
 // DecodeTraces sniffs the trace format of r from its first bytes —
 // text, JSONL, or binary MTRC v2/v3/v4 — and delivers every decoded
 // trace to fn in stream order, returning how many traces fn received.
-// Binary inputs stream record-at-a-time; text and JSONL inputs are
-// parsed whole. A non-nil error from fn aborts the decode and is
-// returned verbatim. This is the one sniffing decode loop: the
-// Ingestor's batch path and the sliding-window paths (cmd/mapit replay,
-// mapitd windowed ingest) all sit on top of it.
+// Binary inputs stream through trace.BinaryReader, a v3/v4 block at a
+// time; text and JSONL inputs are parsed whole. A non-nil error from fn
+// aborts the decode and is returned verbatim. The sliding-window paths
+// (cmd/mapit replay, mapitd windowed ingest) sit on top of it; the
+// Ingestor shares its sniffing and decodes v3/v4 blocks in its
+// sanitise workers instead.
 func DecodeTraces(r io.Reader, opt trace.DecodeOptions, fn func(trace.Trace) error) (int, error) {
+	stream, ds, err := sniff(r, opt)
+	switch {
+	case err != nil:
+		return 0, err
+	case ds != nil:
+		return feedDataset(ds, fn)
+	}
+	return feedStream(stream, fn)
+}
+
+// sniff reads the trace format of r from its first bytes. A binary
+// stream comes back as a reader positioned after its magic; text and
+// JSONL come back parsed whole.
+func sniff(r io.Reader, opt trace.DecodeOptions) (*trace.BinaryReader, *trace.Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	// Peek returns whatever is available on short inputs along with an
 	// error we deliberately ignore: a 3-byte file is still valid text.
@@ -88,35 +125,31 @@ func DecodeTraces(r io.Reader, opt trace.DecodeOptions, fn func(trace.Trace) err
 	switch {
 	case len(head) == 5 && (string(head) == "MTRC\x02" || string(head) == "MTRC\x03" || string(head) == "MTRC\x04"):
 		stream, err := trace.NewBinaryReaderOpts(br, opt)
-		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for {
-			t, err := stream.Next()
-			if err == io.EOF {
-				return n, nil
-			}
-			if err != nil {
-				return n, err
-			}
-			if err := fn(t); err != nil {
-				return n, err
-			}
-			n++
-		}
+		return stream, nil, err
 	case len(head) > 0 && head[0] == '{':
 		ds, err := trace.ReadJSON(br)
-		if err != nil {
-			return 0, err
-		}
-		return feedDataset(ds, fn)
+		return nil, ds, err
 	default:
 		ds, err := trace.Read(br)
-		if err != nil {
-			return 0, err
+		return nil, ds, err
+	}
+}
+
+// feedStream delivers every trace of a binary stream to fn.
+func feedStream(stream *trace.BinaryReader, fn func(trace.Trace) error) (int, error) {
+	n := 0
+	for {
+		t, err := stream.Next()
+		if err == io.EOF {
+			return n, nil
 		}
-		return feedDataset(ds, fn)
+		if err != nil {
+			return n, err
+		}
+		if err := fn(t); err != nil {
+			return n, err
+		}
+		n++
 	}
 }
 

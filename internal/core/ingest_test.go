@@ -249,51 +249,99 @@ func TestIngestorLifecycle(t *testing.T) {
 }
 
 // TestIngestorStrict pins that strict mode turns block corruption into
-// an ingest error while leaving previously collected evidence intact.
+// an ingest error and leaves exactly the evidence of what came before
+// it: the earlier batch and the blocks ahead of the corrupt one, which
+// sits early in a many-block stream, so that later frames are in flight
+// in the workers when it fails.
 func TestIngestorStrict(t *testing.T) {
-	g := NewIngestor(IngestOptions{Strict: true})
-	defer g.Close()
 	ds := ingestDataset()
 	var v4 bytes.Buffer
 	if err := trace.WriteBinaryBlocksV4(&v4, ds, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := g.Ingest(&v4); err != nil || n != len(ds.Traces) {
-		t.Fatalf("clean ingest: n=%d err=%v", n, err)
-	}
-	data, _ := corruptV3Stream(t)
-	if _, err := g.Ingest(bytes.NewReader(data)); err == nil {
-		t.Fatal("strict ingest accepted corrupt stream")
-	}
-	ev, err := g.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Stats.TotalTraces < len(ds.Traces) {
-		t.Fatalf("failed batch corrupted earlier evidence: %+v", ev.Stats)
+	traces := synthTraces(2048)
+	const perBlock = 16
+	streams, bad := strictPayloadStreams(t, traces, perBlock)
+	for _, workers := range []int{1, 2, 8} {
+		for name, data := range streams {
+			g := NewIngestor(IngestOptions{Workers: workers, Strict: true})
+			if n, err := g.Ingest(bytes.NewReader(v4.Bytes())); err != nil || n != len(ds.Traces) {
+				t.Fatalf("clean ingest: n=%d err=%v", n, err)
+			}
+			n, err := g.Ingest(bytes.NewReader(data))
+			var ce *trace.CorruptError
+			if !errors.As(err, &ce) || ce.Block != bad {
+				t.Fatalf("%s workers=%d: strict ingest of a stream corrupt in block %d: err %v", name, workers, bad, err)
+			}
+			if n != bad*perBlock {
+				t.Fatalf("%s workers=%d: n=%d, want the %d traces ahead of the corrupt block", name, workers, n, bad*perBlock)
+			}
+			ev, err := g.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Close()
+			serial := NewCollector()
+			for _, tr := range append(slices.Clone(ds.Traces), traces[:bad*perBlock]...) {
+				serial.Add(tr)
+			}
+			want := serial.Evidence()
+			if !reflect.DeepEqual(want.Adjacencies, ev.Adjacencies) || !reflect.DeepEqual(want.AllAddrs, ev.AllAddrs) ||
+				want.Stats != ev.Stats {
+				t.Fatalf("%s workers=%d: evidence after the failure differs from the blocks before it: stats %+v, want %+v",
+					name, workers, ev.Stats, want.Stats)
+			}
+		}
 	}
 }
 
 // TestIngestorCloseStopsPipeline: Close after a failed ingest must stop
 // the collector's sanitise workers and shard owners, which otherwise
 // wait forever for the batches the aborted decode never sent — in
-// memory and spilling alike, with the spill directory left empty.
+// memory and spilling alike, with the spill directory left empty. The
+// failures come from the frame reader (a junk tail) and from a worker
+// (a payload partway through the stream that only decoding reveals),
+// and a Close must not block on either.
 func TestIngestorCloseStopsPipeline(t *testing.T) {
 	var buf bytes.Buffer
 	if err := trace.WriteBinaryBlocks(&buf, &trace.Dataset{Traces: synthTraces(300)}, 64); err != nil {
 		t.Fatal(err)
 	}
 	buf.Write(bytes.Repeat([]byte{0xff}, 64))
+	streams := []struct {
+		name    string
+		data    []byte
+		workers []int
+	}{{"junk tail", buf.Bytes(), []int{2}}}
+	payload, _ := strictPayloadStreams(t, synthTraces(1200), 32)
+	for _, name := range []string{"v3", "v4"} {
+		streams = append(streams, struct {
+			name    string
+			data    []byte
+			workers []int
+		}{name + " corrupt payload", payload[name], []int{1, 2, 8}})
+	}
 	dir := t.TempDir()
 	before := runtime.NumGoroutine()
-	for _, spill := range []SpillConfig{{}, {Dir: dir, RunEntries: 16}} {
-		for i := 0; i < 3; i++ {
-			g := NewIngestor(IngestOptions{Workers: 2, Strict: true, Spill: spill})
-			if n, err := g.Ingest(bytes.NewReader(buf.Bytes())); err == nil || n == 0 {
-				t.Fatalf("ingest of a stream with a corrupt tail: n=%d err=%v, want traces and an error", n, err)
-			}
-			if err := g.Close(); err != nil {
-				t.Fatal(err)
+	for _, s := range streams {
+		for _, workers := range s.workers {
+			for _, spill := range []SpillConfig{{}, {Dir: dir, RunEntries: 16}} {
+				for i := 0; i < 3; i++ {
+					g := NewIngestor(IngestOptions{Workers: workers, Strict: true, Spill: spill})
+					if n, err := g.Ingest(bytes.NewReader(s.data)); err == nil || n == 0 {
+						t.Fatalf("%s workers=%d: n=%d err=%v, want traces and an error", s.name, workers, n, err)
+					}
+					closed := make(chan error, 1)
+					go func() { closed <- g.Close() }()
+					select {
+					case err := <-closed:
+						if err != nil {
+							t.Fatal(err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%s workers=%d: Close blocked", s.name, workers)
+					}
+				}
 			}
 		}
 	}

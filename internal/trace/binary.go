@@ -797,10 +797,11 @@ func decodeTimestampColumn(buf []byte, base int64, blockIdx, count int) ([]int64
 	return times, nil
 }
 
-// fillBlock lifts and decodes the next v3 block into pending. A corrupt
-// payload is skipped and counted in permissive mode (blocks are
+// fillBlock lifts and decodes the next v3/v4 block into pending. A
+// corrupt payload is skipped and counted in permissive mode (blocks are
 // self-contained, so dropping one loses only its own traces) and fatal
-// otherwise.
+// otherwise. The traces escape to the caller, so their hops move out of
+// the decoder's scratch into a slab of their own.
 func (r *BinaryReader) fillBlock() error {
 	fr, err := r.readFrame(r.payload)
 	if err != nil {
@@ -808,25 +809,48 @@ func (r *BinaryReader) fillBlock() error {
 	}
 	r.payload = fr.payload
 	clear(r.pending)
-	traces, derr := r.dec.decodeBlockPayload(r.pending, fr.payload, fr.off, fr.idx, fr.count)
-	if derr == nil && len(traces) != fr.count {
-		derr = &CorruptError{Offset: fr.off, Block: fr.idx, Kind: "block", Class: CorruptCountMismatch,
-			Cause: fmt.Errorf("header claims %d traces, payload holds %d", fr.count, len(traces))}
-	}
+	traces, derr := r.dec.decodeFrame(r.pending, &fr)
+	r.stats.settleBlock(fr.count, derr, r.opt.Permissive)
 	if derr != nil {
-		r.stats.record(derr.Class)
 		if r.opt.Permissive {
-			r.stats.BlocksSkipped++
-			r.stats.TracesDropped += int64(fr.count)
 			r.pending, r.pendIdx = r.pending[:0], 0
 			return nil
 		}
 		return r.fatal(derr)
 	}
-	applyTimes(traces, fr.times)
-	r.stats.BlocksDecoded++
+	r.dec.detach(traces)
 	r.pending, r.pendIdx = traces, 0
 	return nil
+}
+
+// decodeFrame decodes a lifted frame's payload with decodeBlockPayload,
+// holds the result to the frame's trace count and stamps the v4
+// timestamp column onto it. The traces' hops alias the decoder's scratch
+// until its next decode.
+func (d *blockDecoder) decodeFrame(dst []Trace, fr *blockFrame) ([]Trace, *CorruptError) {
+	traces, derr := d.decodeBlockPayload(dst, fr.payload, fr.off, fr.idx, fr.count)
+	if derr == nil && len(traces) != fr.count {
+		derr = &CorruptError{Offset: fr.off, Block: fr.idx, Kind: "block", Class: CorruptCountMismatch,
+			Cause: fmt.Errorf("header claims %d traces, payload holds %d", fr.count, len(traces))}
+	}
+	if derr != nil {
+		return nil, derr
+	}
+	applyTimes(traces, fr.times)
+	return traces, nil
+}
+
+// detach moves the hops of traces, the decoder's last decode, out of its
+// scratch into one exactly sized slab, carved with cap == len as
+// decodeBlockPayload carves them.
+func (d *blockDecoder) detach(traces []Trace) {
+	slab := make([]Hop, len(d.hops))
+	copy(slab, d.hops)
+	for i := range traces {
+		n := len(traces[i].Hops)
+		traces[i].Hops = slab[:n:n]
+		slab = slab[n:]
+	}
 }
 
 // applyTimes stamps a decoded v4 block's timestamp column onto its
@@ -881,9 +905,10 @@ func readAll(br *BinaryReader) (*Dataset, error) {
 // binary.ReadUvarint, ReadByte and io.ReadFull calls would, so every
 // *CorruptError (class, kind, block, offset and message) equals the one a
 // BinaryReader over the same record stream reports. The hops of every
-// trace in the block share one exactly sized slab, and each trace's Hops
-// is carved from it with cap == len, so appending to one trace's hops
-// reallocates instead of overwriting the next trace's.
+// trace in the block stay in the decoder's hop scratch, valid until its
+// next decode (detach moves them out), and each trace's Hops is carved
+// from it with cap == len, so appending to one trace's hops reallocates
+// instead of overwriting the next trace's.
 func (d *blockDecoder) decodeBlockPayload(dst []Trace, payload []byte, base int64, blockIdx, count int) ([]Trace, *CorruptError) {
 	c := payloadCursor{buf: payload, base: base, blockIdx: blockIdx}
 	if n := min(count, maxTraceCapHint); cap(dst) < n {
@@ -919,11 +944,10 @@ func (d *blockDecoder) decodeBlockPayload(dst []Trace, payload []byte, base int6
 			return nil, c.fail(CorruptBadKind, "trace", fmt.Errorf("unknown record kind %d", kind))
 		}
 	}
-	slab := make([]Hop, len(d.hops))
-	copy(slab, d.hops)
+	hops := d.hops
 	for i, n := range d.hopCounts {
-		dst[i].Hops = slab[:n:n]
-		slab = slab[n:]
+		dst[i].Hops = hops[:n:n]
+		hops = hops[n:]
 	}
 	return dst, nil
 }
@@ -980,9 +1004,10 @@ func (d *blockDecoder) traceRecord(c *payloadCursor) (Trace, *CorruptError) {
 	return t, nil
 }
 
-// blockDecoder holds the scratch a reader reuses across block decodes,
-// so a block costs two allocations (its trace slice and its hop slab)
-// plus one string per monitor definition.
+// blockDecoder holds the scratch reused across block decodes, so a
+// block costs one string per monitor definition, plus its trace slice
+// when dst is too small and, for traces that escape, the slab detach
+// allocates.
 type blockDecoder struct {
 	hops      []Hop
 	hopCounts []int

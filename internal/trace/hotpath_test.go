@@ -178,8 +178,10 @@ func allocBlock(t testing.TB) []byte {
 }
 
 // TestDecodeBlockPayloadAllocs pins the allocations of one block decode
-// on a warm decoder: the trace slice, the hop slab and one string per
-// monitor definition — none per trace.
+// on a warm decoder: the trace slice and one string per monitor
+// definition — none per trace, and none for the hops, which stay in the
+// decoder's scratch. The streaming reader's detach adds exactly one, the
+// slab its escaping traces' hops move to.
 func TestDecodeBlockPayloadAllocs(t *testing.T) {
 	payload := allocBlock(t)
 	var dec blockDecoder
@@ -191,38 +193,60 @@ func TestDecodeBlockPayloadAllocs(t *testing.T) {
 	if cerr != nil || len(traces) != 256 {
 		t.Fatalf("decode: %d traces, err %v", len(traces), cerr)
 	}
-	if want := float64(2 + allocBlockMonitors); n != want {
+	if want := float64(1 + allocBlockMonitors); n != want {
 		t.Errorf("decodeBlockPayload on a 256-trace block: %v allocs, want %v", n, want)
+	}
+	n = testing.AllocsPerRun(50, func() {
+		traces, cerr = dec.decodeBlockPayload(nil, payload, 0, 0, 256)
+		dec.detach(traces)
+	})
+	if want := float64(2 + allocBlockMonitors); n != want {
+		t.Errorf("decodeBlockPayload and detach on a 256-trace block: %v allocs, want %v", n, want)
 	}
 }
 
-// TestDecodeBlockPayloadHopsDoNotAlias checks the slab invariant: every
-// trace's Hops has cap == len, so appending to one trace's hops cannot
-// write into the next trace's.
+// TestDecodeBlockPayloadHopsDoNotAlias checks the carving invariant:
+// every trace's Hops has cap == len, so appending to one trace's hops
+// cannot write into the next trace's — in the decoder's scratch and in
+// the slab detach moves them to. Detached hops survive the decoder's
+// next decode, which reuses its scratch.
 func TestDecodeBlockPayloadHopsDoNotAlias(t *testing.T) {
 	payload := allocBlock(t)
+	other := allocBlock(t)
+	other[len(other)-2] ^= 0x5a // a different last hop address, or QuotedTTL
 	var dec blockDecoder
-	traces, cerr := dec.decodeBlockPayload(nil, payload, 0, 0, 256)
-	if cerr != nil {
-		t.Fatal(cerr)
-	}
-	for i, tr := range traces {
-		if cap(tr.Hops) != len(tr.Hops) {
-			t.Fatalf("trace %d: cap(Hops) = %d, len %d", i, cap(tr.Hops), len(tr.Hops))
+	for _, detached := range []bool{false, true} {
+		traces, cerr := dec.decodeBlockPayload(nil, payload, 0, 0, 256)
+		if cerr != nil {
+			t.Fatal(cerr)
 		}
-	}
-	want := append([]Hop(nil), traces[1].Hops...)
-	traces[0].Hops = append(traces[0].Hops, Hop{Addr: 0xdeadbeef, QuotedTTL: 7})
-	if !reflect.DeepEqual(traces[1].Hops, want) {
-		t.Fatalf("appending to trace 0 changed trace 1: %v, want %v", traces[1].Hops, want)
-	}
-	// A reused decoder hands out a fresh slab: the first decode's traces
-	// survive the second.
-	if _, cerr := dec.decodeBlockPayload(nil, payload, 0, 0, 256); cerr != nil {
-		t.Fatal(cerr)
-	}
-	if !reflect.DeepEqual(traces[1].Hops, want) {
-		t.Fatal("a second decode overwrote the first decode's hops")
+		if detached {
+			dec.detach(traces)
+		}
+		for i, tr := range traces {
+			if cap(tr.Hops) != len(tr.Hops) {
+				t.Fatalf("detached=%v trace %d: cap(Hops) = %d, len %d", detached, i, cap(tr.Hops), len(tr.Hops))
+			}
+		}
+		want := append([]Hop(nil), traces[1].Hops...)
+		traces[0].Hops = append(traces[0].Hops, Hop{Addr: 0xdeadbeef, QuotedTTL: 7})
+		if !reflect.DeepEqual(traces[1].Hops, want) {
+			t.Fatalf("detached=%v: appending to trace 0 changed trace 1: %v, want %v", detached, traces[1].Hops, want)
+		}
+		if !detached {
+			continue
+		}
+		last := append([]Hop(nil), traces[len(traces)-1].Hops...)
+		again, cerr := dec.decodeBlockPayload(nil, other, 0, 0, 256)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if reflect.DeepEqual(again[len(again)-1].Hops, last) {
+			t.Fatal("the second payload decodes to the same last trace; the check below shows nothing")
+		}
+		if !reflect.DeepEqual(traces[len(traces)-1].Hops, last) {
+			t.Fatal("a second decode overwrote detached hops")
+		}
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // ReadTraces reads a whole trace dataset, sniffing its format from the
 // first bytes: text ("monitor|dst|hop hop ...", hops are dotted quads,
 // "*", or "addr!q<ttl>" for anomalous quoted TTLs), JSONL, or binary
-// MTRC v2/v3/v4. It decodes strictly through DecodeTraces, the loop
-// under the Ingestor; callers that stream, or that want permissive
-// decoding, call DecodeTraces directly.
+// MTRC v2/v3/v4. It decodes strictly through DecodeTraces, the
+// streaming loop under the window paths; callers that stream, or that
+// want permissive decoding, call DecodeTraces directly.
 func ReadTraces(r io.Reader) (*Dataset, error) {
 	ds := &Dataset{}
 	if _, err := core.DecodeTraces(r, DecodeOptions{}, func(t Trace) error {
