@@ -368,7 +368,7 @@ func BenchmarkSanitizeTrace(b *testing.B) {
 // sweep passes N, with identical outputs at every point.
 var ingestWorkerSweep = []int{1, 2, 4, 8}
 
-// BenchmarkCollectorParallel measures the sharded streaming collector
+// BenchmarkCollectorParallel measures the parallel streaming collector
 // (sanitise → dedup → sorted evidence) across worker counts, with the
 // serial Collector as the reference point.
 func BenchmarkCollectorParallel(b *testing.B) {
@@ -649,6 +649,56 @@ func BenchmarkIngestorRepublish(b *testing.B) {
 	n := float64(b.N * batches)
 	b.ReportMetric(float64(ingest.Nanoseconds())/n, "ingest-ns/batch")
 	b.ReportMetric(float64(finish.Nanoseconds())/n, "finish-ns/batch")
+}
+
+// BenchmarkFinish is the finalisation layer: Ingestor.Finish after an
+// Ingest of a 192k-trace in-memory MTRC v3 corpus at Workers 2. Finish
+// retires the pipeline, whose workers sort and hand over their runs,
+// and merges the runs into evidence: in memory, and under the bench
+// spill workload's 4 MiB budget, each with and without TrackMonitors.
+// The corpus is encoded before the timer starts, and each op's Ingest
+// runs with the timer stopped.
+func BenchmarkFinish(b *testing.B) {
+	corpus := encodeCorpusV3(b, mapit.GenerateWorld(mapit.DefaultWorldConfig()), 2, 6000)
+	for _, budget := range []int64{0, 4 << 20} {
+		for _, monitors := range []bool{false, true} {
+			name := "memory"
+			if budget > 0 {
+				name = "spill"
+			}
+			if monitors {
+				name += "-monitors"
+			}
+			b.Run(name, func(b *testing.B) {
+				opt := mapit.IngestOptions{Workers: 2, TrackMonitors: monitors}
+				if budget > 0 {
+					opt.Spill = mapit.SpillConfig{Dir: b.TempDir(), MemBudget: budget}
+				}
+				b.StopTimer()
+				for i := 0; i < b.N; i++ {
+					g := mapit.NewIngestor(opt)
+					if _, err := g.Ingest(bytes.NewReader(corpus)); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					ev, err := g.Finish()
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(ev.Adjacencies) == 0 || monitors != (len(ev.Monitors) > 0) {
+						b.Fatal("incomplete evidence")
+					}
+					if budget > 0 && g.SpillStats().AdjRuns == 0 {
+						b.Fatalf("nothing spilled under a %d B budget", budget)
+					}
+					if err := g.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkBinaryCodec measures binary trace decode throughput.

@@ -377,7 +377,7 @@ func runTraces(path string, cfg mapit.Config, strict bool, spill mapit.SpillConf
 // through the shared sniffing ingest pipeline (mapit.Ingestor, also the
 // mapitd daemon's ingest path): the format is sniffed from the first
 // bytes via Peek — no seeking, so pipes and stdin work — and every
-// trace streams through a sharded collector (sanitisation and adjacency
+// trace streams through a parallel collector (sanitisation and adjacency
 // deduplication run on cfg.Workers goroutines). Unless strict, binary
 // inputs decode permissively: corrupt v3 blocks are skipped and tallied
 // into the result's decode-health diagnostics. A spill budget (see

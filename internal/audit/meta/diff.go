@@ -39,7 +39,7 @@ func equalEvidence(label string, a, b *core.Evidence) error {
 }
 
 // DiffIngest runs the three ingest paths — streaming serial collector,
-// sharded parallel collector, and serial batch sanitise-then-distil —
+// parallel collector, and serial batch sanitise-then-distil —
 // over the same raw traces and requires identical evidence and
 // identical downstream Results.
 func DiffIngest(pl *Pipeline) error {

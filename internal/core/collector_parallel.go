@@ -12,34 +12,21 @@ import (
 	"mapit/internal/trace"
 )
 
-// Batch sizes for the parallel ingest pipeline: traces that Add takes
-// one at a time travel to the sanitise workers in batches (amortising
-// channel overhead across the per-trace work; a block frame carries its
-// own traces), and adjacencies travel to the shard owners in batches
-// (amortising it across the per-adjacency work). A worker checks its
-// spill budget after every traceBatchSize traces, whichever way they
-// came.
-const (
-	traceBatchSize = 256
-	adjBatchSize   = 512
-)
+// traceBatchSize is the batch size of the parallel ingest pipeline:
+// traces that Add takes one at a time travel to the sanitise workers in
+// batches, amortising channel overhead across the per-trace work (a
+// block frame carries its own traces). A worker checks its spill budget
+// after every traceBatchSize traces, whichever way they came.
+const traceBatchSize = 256
 
-// traceBatchPool and adjBatchPool recycle the pipeline's batch buffers
-// across every ParallelCollector in the process: the consumer of a batch
-// hands it back once it has copied out what it keeps — a sanitise
-// worker after routing a trace batch's adjacencies, a shard owner after
-// inserting an adjacency batch into its set. Pointers to the slices
-// travel through the channels so that neither side allocates.
-var (
-	traceBatchPool = sync.Pool{New: func() any {
-		b := make([]trace.Trace, 0, traceBatchSize)
-		return &b
-	}}
-	adjBatchPool = sync.Pool{New: func() any {
-		b := make([]trace.Adjacency, 0, adjBatchSize)
-		return &b
-	}}
-)
+// traceBatchPool recycles the pipeline's trace batches across every
+// ParallelCollector in the process: a sanitise worker hands a batch back
+// once it has collected its traces. Pointers to the slices travel
+// through the work channel so that neither side allocates.
+var traceBatchPool = sync.Pool{New: func() any {
+	b := make([]trace.Trace, 0, traceBatchSize)
+	return &b
+}}
 
 // putTraceBatch returns a consumed trace batch to its pool, zeroed so the
 // pool does not keep the traces' hop slabs alive.
@@ -47,12 +34,6 @@ func putTraceBatch(b *[]trace.Trace) {
 	clear(*b)
 	*b = (*b)[:0]
 	traceBatchPool.Put(b)
-}
-
-// putAdjBatch returns a consumed adjacency batch to its pool.
-func putAdjBatch(b *[]trace.Adjacency) {
-	*b = (*b)[:0]
-	adjBatchPool.Put(b)
 }
 
 // A sanitise worker records each address it sees once, in one map whose
@@ -65,7 +46,7 @@ const (
 )
 
 // Each sanitise worker puts a direct-mapped filter of 1<<bits entries in
-// front of its address map, one in front of its adjacency routing and,
+// front of its address map, one in front of its adjacency key list and,
 // with TrackMonitors, one in front of its attribution run. Traceroute
 // views are monitor-rooted trees, so the links near a monitor recur in
 // almost every trace it sends: a few thousand entries catch most
@@ -76,9 +57,35 @@ const (
 	monFilterBits  = 13
 )
 
-// monCompactMin is the shortest per-monitor key list a sanitise worker
-// sorts and deduplicates before its retirement.
-const monCompactMin = 1 << 10
+// keyCompactMin is the shortest key list a sanitise worker sorts and
+// deduplicates before its retirement.
+const keyCompactMin = 1 << 10
+
+// keyList is a sanitise worker's list of the adjacency keys (adjKey)
+// that missed one of its filters. An evicted key misses again, so the
+// list sorts and deduplicates itself in place whenever it reaches twice
+// its length after the last compaction: it grows with the distinct keys
+// rather than with the sightings. The zero value is an empty list.
+type keyList struct {
+	keys      []uint64
+	compactAt int
+}
+
+// add appends k, compacting the list once it is due.
+func (l *keyList) add(k uint64) {
+	l.keys = append(l.keys, k)
+	if len(l.keys) >= l.compactAt {
+		l.compact()
+	}
+}
+
+// compact sorts and deduplicates the list in place and returns it.
+func (l *keyList) compact() []uint64 {
+	slices.Sort(l.keys)
+	l.keys = slices.Compact(l.keys)
+	l.compactAt = max(2*len(l.keys), keyCompactMin)
+	return l.keys
+}
 
 // monAdj is one attribution pair: a monitor's collector-wide id and an
 // adjacency its retained traces contributed. Runs of pairs sort by
@@ -108,21 +115,20 @@ func addrSlot(a inet.Addr) uint32 {
 	return uint32(a) * 0x9e3779b1 >> (32 - addrFilterBits)
 }
 
-// ParallelCollector is a sharded, concurrent Collector: traces — or the
-// MTRC v3/v4 block frames an Ingestor lifts, which the workers decode —
-// fan out to sanitise workers, each worker routes the surviving
-// adjacencies by hash to per-shard deduplication sets, and Evidence()
-// sorts the shards in parallel and k-way merges them. Because the
-// shards partition the adjacency space and each is sorted before the
-// merge, the merged slice — and every Stats field — is byte-identical
-// to what the serial Collector produces for the same traces, in any
-// worker configuration.
+// ParallelCollector is a concurrent Collector: traces — or the MTRC
+// v3/v4 block frames an Ingestor lifts, which the workers decode — fan
+// out to sanitise workers. Each worker keeps the adjacencies it sees in
+// a sorted key list and hands it over as one sorted, duplicate-free run
+// when it retires, and Evidence() k-way merges the runs. The merge
+// collapses the duplicates where runs overlap, so the merged slice — and
+// every Stats field — is byte-identical to what the serial Collector
+// produces for the same traces, in any worker configuration.
 //
-// With a SpillConfig (NewParallelCollectorSpill), shard owners spill
-// their adjacency sets and workers spill their address sets to columnar
-// disk segments under the shared budget, and finalisation becomes a
-// bounded-memory external merge — still byte-identical, for any spill
-// threshold, worker count, or segment size (DESIGN.md §11).
+// With a SpillConfig (NewParallelCollectorSpill), the workers spill
+// their adjacency key lists and address sets to columnar disk segments
+// under the shared budget, and finalisation becomes a bounded-memory
+// external merge — still byte-identical, for any spill threshold, worker
+// count, or segment size (DESIGN.md §11).
 //
 // Add and Evidence must be called from a single goroutine; the
 // concurrency is internal. Like Collector, the collector remains usable
@@ -134,19 +140,18 @@ type ParallelCollector struct {
 	workers int
 	added   int
 
-	// Persistent state, merged under mu when workers retire. allRuns
-	// and retRuns hold sorted, duplicate-free address runs — every
-	// responding address, and those on retained traces — that Finish
-	// merges and compacts.
+	// Persistent state, merged under mu when workers retire. adjRuns,
+	// allRuns and retRuns hold sorted, duplicate-free runs — the
+	// adjacencies, every responding address, and those on retained
+	// traces — that Finish merges and, in memory, compacts into one run
+	// per list. Runs of one list may overlap. After an in-memory Finish,
+	// adjRuns[0] is the merged run Evidence.Adjacencies shares, so it is
+	// replaced, never written.
 	mu      sync.Mutex
-	shards  []map[trace.Adjacency]struct{}
+	adjRuns [][]trace.Adjacency
 	allRuns [][]inet.Addr
 	retRuns [][]inet.Addr
 	stats   trace.Stats
-	// base is the adjacency run the last in-memory Finish merged; the
-	// shards hold only what arrived since. Evidence.Adjacencies shares
-	// it, so it is replaced, never written.
-	base []trace.Adjacency
 
 	// Per-monitor attribution (see TrackMonitors); monIDs is nil when
 	// tracking is off. A monitor gets the next id when a retained trace
@@ -159,15 +164,14 @@ type ParallelCollector struct {
 	monRuns   [][]monAdj
 
 	// Out-of-core state; spill is nil for an in-memory collector.
-	// shardSpillers and workerSpillers persist across pipeline restarts
-	// so each shard, and each sanitise worker slot, keeps appending runs
-	// to its own segment file. shardLimit / workerLimit are the
-	// per-party shares of the byte budget.
+	// workerSpillers persist across pipeline restarts so each sanitise
+	// worker slot keeps appending runs to its own segment file.
+	// workerLimit is a worker's byte share of either half of the budget,
+	// and adjLimit the length at which its adjacency key list spills.
 	spill          *spillSink
-	shardSpillers  []*spiller
 	workerSpillers []*spiller
-	shardLimit     int64
 	workerLimit    int64
+	adjLimit       int
 
 	// Live pipeline; nil between Evidence() and the next Add. batch is
 	// the trace batch being filled, nil until the next Add takes one
@@ -177,9 +181,7 @@ type ParallelCollector struct {
 	// back once the frame is decoded.
 	work      chan work
 	frameBufs chan []byte
-	shardCh   []chan *[]trace.Adjacency
 	sanWG     sync.WaitGroup
-	shardWG   sync.WaitGroup
 	batch     *[]trace.Trace
 }
 
@@ -257,13 +259,13 @@ func (r *frameRun) wait(frames int) {
 	}
 }
 
-// NewParallelCollector returns an empty sharded collector with the given
-// concurrency; workers < 1 means runtime.GOMAXPROCS(0).
+// NewParallelCollector returns an empty collector with the given number
+// of sanitise workers; workers < 1 means runtime.GOMAXPROCS(0).
 func NewParallelCollector(workers int) *ParallelCollector {
 	return NewParallelCollectorSpill(workers, SpillConfig{})
 }
 
-// NewParallelCollectorSpill returns a sharded collector that keeps its
+// NewParallelCollectorSpill returns a collector that keeps its
 // resident dedup state under cfg's budget by spilling columnar runs to
 // disk. A disabled cfg (zero value) yields the plain in-memory
 // collector.
@@ -271,40 +273,28 @@ func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector 
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	c := &ParallelCollector{
-		workers: workers,
-		shards:  make([]map[trace.Adjacency]struct{}, workers),
-	}
-	c.resetShards()
+	c := &ParallelCollector{workers: workers}
 	if cfg.enabled() {
 		c.enableSpill(cfg)
 	}
 	return c
 }
 
-// resetShards gives every shard an empty set.
-func (c *ParallelCollector) resetShards() {
-	for i := range c.shards {
-		c.shards[i] = make(map[trace.Adjacency]struct{})
-	}
-}
-
 // enableSpill makes the collector spill under cfg from the next
 // pipeline run on.
 func (c *ParallelCollector) enableSpill(cfg SpillConfig) {
 	c.spill = newSpillSink(cfg)
-	spillers := func(n int) []*spiller {
-		sp := make([]*spiller, n)
-		for i := range sp {
-			sp[i] = newSpiller(c.spill)
-		}
-		return sp
+	c.workerSpillers = make([]*spiller, c.workers)
+	for i := range c.workerSpillers {
+		c.workerSpillers[i] = newSpiller(c.spill)
 	}
-	c.shardSpillers, c.workerSpillers = spillers(len(c.shards)), spillers(c.workers)
-	// Split the byte budget half to the adjacency shards, half to the
-	// workers' address sets, evenly within each side.
-	c.shardLimit = cfg.MemBudget / 2 / int64(len(c.shards))
+	// Split the byte budget half to the workers' adjacency key lists,
+	// half to their address sets, evenly within each side.
 	c.workerLimit = cfg.MemBudget / 2 / int64(c.workers)
+	c.adjLimit = max(int(c.workerLimit/adjEntryCost), 1)
+	if cfg.RunEntries > 0 {
+		c.adjLimit = cfg.RunEntries
+	}
 }
 
 // TrackMonitors enables per-monitor evidence attribution (see
@@ -398,12 +388,6 @@ func (c *ParallelCollector) start() {
 	for range c.workers {
 		c.frameBufs <- nil
 	}
-	c.shardCh = make([]chan *[]trace.Adjacency, len(c.shards))
-	for i := range c.shardCh {
-		c.shardCh[i] = make(chan *[]trace.Adjacency, 2*c.workers)
-		c.shardWG.Add(1)
-		go c.shardOwner(i)
-	}
 	for w := 0; w < c.workers; w++ {
 		c.sanWG.Add(1)
 		go c.sanitizeWorker(w)
@@ -411,7 +395,7 @@ func (c *ParallelCollector) start() {
 }
 
 // drain flushes the pending batch and retires the pipeline, leaving the
-// accumulated shard sets and statistics ready to merge.
+// workers' runs and statistics ready to merge.
 func (c *ParallelCollector) drain() {
 	if c.work == nil {
 		return
@@ -422,60 +406,48 @@ func (c *ParallelCollector) drain() {
 	}
 	close(c.work)
 	c.sanWG.Wait()
-	for _, ch := range c.shardCh {
-		close(ch)
-	}
-	c.shardWG.Wait()
-	c.work, c.frameBufs, c.shardCh = nil, nil, nil
+	c.work, c.frameBufs = nil, nil
 }
 
 // sanitizeWorker consumes work items — trace batches, and block frames
-// it decodes into its own scratch — sanitises each trace, and routes
-// its adjacencies to the owning shard. Decoded traces and their hops
-// alias that scratch and never leave the worker. Addresses (in one
-// flagged map, see addrSeen) and statistics accumulate worker-locally;
-// at retirement the addresses leave as two sorted runs, into the
-// collector's run lists or — in out-of-core mode — the segment of
-// worker idx, so the resident set stays bounded.
+// it decodes into its own scratch — sanitises each trace, and collects
+// its addresses and adjacencies. Decoded traces and their hops alias
+// that scratch and never leave the worker. Addresses (in one flagged
+// map, see addrSeen), adjacency keys (in one keyList) and statistics
+// accumulate worker-locally; at retirement they leave as sorted runs,
+// into the collector's run lists or — in out-of-core mode — the segment
+// of worker idx, so the resident set stays bounded.
 //
-// Direct-mapped filters keep repeats off the maps and runs. An
+// Direct-mapped filters keep repeats off the map and lists. An
 // address-filter entry holds an address and the flags its map entry had
 // when cached: a sighting is a hit only if those flags cover what it
 // needs, so a seen-only entry never hides a later retained sighting. An
-// adjacency-filter hit means this worker has already routed that
-// adjacency, which its shard keeps (or has spilled) until the next
-// Finish folds it into the base run. With TrackMonitors, each
-// adjacency of a retained trace first meets the monitor filter, whose
-// entry is a whole (monitor id, adjacency) pair: a hit means this
-// worker has already appended the pair to its attribution run and
-// routed the adjacency, so it skips the adjacency filter too.
+// adjacency-filter hit means the adjacency is already in this worker's
+// key list or spilled. With TrackMonitors, each adjacency of a retained
+// trace first meets the monitor filter, whose entry is a whole (monitor
+// id, adjacency) pair: a hit means this worker has already appended the
+// pair to its attribution keys and the adjacency to its key list, so it
+// skips the adjacency filter too.
 func (c *ParallelCollector) sanitizeWorker(idx int) {
 	defer c.sanWG.Done()
 	addrs := make(map[inet.Addr]uint8)
 	retained := 0                                  // addresses flagged addrRetained
 	addrFilter := new([1 << addrFilterBits]uint64) // flags<<32 | addr
 	adjFilter := new([1 << adjFilterBits]uint64)   // First<<32 | Second
+	var adjs keyList
 	var stats trace.Stats
 	// Attribution, when tracking: a cache of the collector's monitor
-	// ids, and per id the retained traces, the adjacency keys that
-	// missed the monitor filter, and the length at which those keys are
-	// next sorted and deduplicated in place. An evicted pair misses
-	// again, so without that compaction a list would grow with the
-	// sightings rather than with the distinct pairs.
+	// ids, and per id the retained traces and the adjacency keys that
+	// missed the monitor filter.
 	var (
-		monIDs       map[string]uint32
-		monFilter    *[1 << monFilterBits]monAdj
-		monTraces    []int
-		monKeys      [][]uint64
-		monCompactAt []int
+		monIDs    map[string]uint32
+		monFilter *[1 << monFilterBits]monAdj
+		monTraces []int
+		monKeys   []keyList
 	)
 	if c.monIDs != nil {
 		monIDs = make(map[string]uint32)
 		monFilter = new([1 << monFilterBits]monAdj)
-	}
-	bufs := make([]*[]trace.Adjacency, len(c.shardCh))
-	for s := range bufs {
-		bufs[s] = adjBatchPool.Get().(*[]trace.Adjacency)
 	}
 	var scratch []trace.Adjacency
 	var sp *spiller
@@ -539,8 +511,7 @@ func (c *ParallelCollector) sanitizeWorker(idx int) {
 						monIDs[t.Monitor] = id
 						for int(id) >= len(monTraces) {
 							monTraces = append(monTraces, 0)
-							monKeys = append(monKeys, nil)
-							monCompactAt = append(monCompactAt, monCompactMin)
+							monKeys = append(monKeys, keyList{})
 						}
 					}
 					mon = id
@@ -556,41 +527,29 @@ func (c *ParallelCollector) sanitizeWorker(idx int) {
 							continue
 						}
 						*slot = pair
-						monKeys[mon] = append(monKeys[mon], key)
-						if len(monKeys[mon]) >= monCompactAt[mon] {
-							monKeys[mon] = sortedKeys(monKeys[mon])
-							monCompactAt[mon] = max(2*len(monKeys[mon]), monCompactMin)
-						}
+						monKeys[mon].add(key)
 					}
 					slot := &adjFilter[h>>(64-adjFilterBits)]
 					if *slot == key {
 						continue
 					}
 					*slot = key
-					s := int(h % uint64(len(bufs)))
-					buf := bufs[s]
-					*buf = append(*buf, adj)
-					if len(*buf) >= adjBatchSize {
-						c.shardCh[s] <- buf
-						bufs[s] = adjBatchPool.Get().(*[]trace.Adjacency)
-					}
+					adjs.add(key)
 				}
 			}
-			if sp != nil && c.addrsOverLimit(len(addrs), retained) && sp.flushFlaggedAddrs(addrs) {
-				addrs = make(map[inet.Addr]uint8)
-				retained = 0
-				clear(addrFilter[:])
+			if sp != nil {
+				if c.addrsOverLimit(len(addrs), retained) && sp.flushFlaggedAddrs(addrs) {
+					addrs = make(map[inet.Addr]uint8)
+					retained = 0
+					clear(addrFilter[:])
+				}
+				if len(adjs.keys) >= c.adjLimit && sp.flushAdjKeys(adjs.compact()) {
+					adjs = keyList{keys: adjs.keys[:0]}
+				}
 			}
 		}
 		if w.batch != nil {
 			putTraceBatch(w.batch)
-		}
-	}
-	for s, buf := range bufs {
-		if len(*buf) > 0 {
-			c.shardCh[s] <- buf
-		} else {
-			putAdjBatch(buf)
 		}
 	}
 	// Retirement: sort here, outside the lock. A failed flush (sticky
@@ -600,13 +559,21 @@ func (c *ParallelCollector) sanitizeWorker(idx int) {
 	if sp == nil || !sp.flushFlaggedAddrs(addrs) {
 		allRun, retRun = sortFlagged(addrs, make([]inet.Addr, 0, len(addrs)), make([]inet.Addr, 0, retained))
 	}
-	if sp != nil {
-		// The slot's spiller outlives this run; its sort scratch need not.
-		sp.allScratch, sp.retScratch = nil, nil
-	}
+	keys := adjs.compact()
 	monRun := attributionRun(monKeys)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// A spilling worker keeps its adjacency residue resident only while
+	// the collector's resident runs, its residue included, stay within
+	// the adjacency half of the budget, across pipeline runs as well;
+	// otherwise it spills the residue to its slot's segment.
+	if len(keys) > 0 && (sp == nil || !c.adjsOverBudget(len(keys)) || !sp.flushAdjKeys(keys)) {
+		c.adjRuns = append(c.adjRuns, appendKeyAdjs(make([]trace.Adjacency, 0, len(keys)), keys))
+	}
+	if sp != nil {
+		// The slot's spiller outlives this run; its sort scratch need not.
+		sp.adjScratch, sp.allScratch, sp.retScratch = nil, nil, nil
+	}
 	if allRun != nil {
 		c.allRuns = append(c.allRuns, allRun)
 		c.retRuns = append(c.retRuns, retRun)
@@ -623,6 +590,16 @@ func (c *ParallelCollector) sanitizeWorker(idx int) {
 	c.stats.TotalTraces += stats.TotalTraces
 	c.stats.DiscardedTraces += stats.DiscardedTraces
 	c.stats.RemovedHops += stats.RemovedHops
+}
+
+// adjsOverBudget reports whether n more resident adjacency entries
+// would take the collector's resident adjacency runs past the adjacency
+// half of its budget, every worker's share of adjLimit entries.
+func (c *ParallelCollector) adjsOverBudget(n int) bool {
+	for _, r := range c.adjRuns {
+		n += len(r)
+	}
+	return n > c.workers*c.adjLimit
 }
 
 // addrsOverLimit applies the worker-share budget (or the RunEntries
@@ -652,57 +629,20 @@ func sortFlagged(set map[inet.Addr]uint8, all, ret []inet.Addr) ([]inet.Addr, []
 	return all, ret
 }
 
-// sortedKeys sorts and deduplicates keys in place.
-func sortedKeys(keys []uint64) []uint64 {
-	slices.Sort(keys)
-	return slices.Compact(keys)
-}
-
 // attributionRun sorts and deduplicates a worker's adjacency keys per
 // monitor id into one run of pairs in (id, First, Second) order.
-func attributionRun(keys [][]uint64) []monAdj {
+func attributionRun(lists []keyList) []monAdj {
 	n := 0
-	for id, ks := range keys {
-		keys[id] = sortedKeys(ks)
-		n += len(keys[id])
+	for id := range lists {
+		n += len(lists[id].compact())
 	}
 	run := make([]monAdj, 0, n)
-	for id, ks := range keys {
-		for _, k := range ks {
-			run = append(run, monAdj{uint32(id), trace.Adjacency{First: inet.Addr(k >> 32), Second: inet.Addr(k)}})
+	for id, l := range lists {
+		for _, k := range l.keys {
+			run = append(run, monAdj{uint32(id), keyAdj(k)})
 		}
 	}
 	return run
-}
-
-// shardOwner deduplicates the adjacency batches routed to shard i. Each
-// shard is owned by exactly one goroutine, so no locking is needed; in
-// out-of-core mode the owner flushes its set as a sorted run whenever
-// it crosses the shard's budget share.
-func (c *ParallelCollector) shardOwner(i int) {
-	defer c.shardWG.Done()
-	set := c.shards[i]
-	var sp *spiller
-	var limit int
-	if c.spill != nil {
-		sp = c.shardSpillers[i]
-		if n := c.spill.cfg.RunEntries; n > 0 {
-			limit = n
-		} else {
-			limit = int(c.shardLimit / adjEntryCost)
-		}
-		limit = max(limit, 1)
-	}
-	for batch := range c.shardCh[i] {
-		for _, adj := range *batch {
-			set[adj] = struct{}{}
-		}
-		putAdjBatch(batch)
-		if sp != nil && len(set) >= limit && sp.flushAdjSet(set) {
-			set = make(map[trace.Adjacency]struct{})
-			c.shards[i] = set
-		}
-	}
 }
 
 // Evidence drains the pipeline and finalises the collected evidence.
@@ -716,10 +656,10 @@ func (c *ParallelCollector) Evidence() *Evidence {
 	return ev
 }
 
-// Finish drains the pipeline and finalises the collected evidence:
-// per-shard parallel sorts followed by a k-way loser-tree merge of the
-// sorted shard runs and the base run — plus, in out-of-core mode, every
-// spilled run — yielding the globally sorted unique adjacency slice.
+// Finish drains the pipeline and finalises the collected evidence: a
+// k-way loser-tree merge of the workers' sorted runs and the run the
+// last Finish compacted — plus, in out-of-core mode, every spilled run —
+// yields the globally sorted unique adjacency slice.
 // The collector remains usable afterwards, and never writes into
 // evidence it has returned.
 func (c *ParallelCollector) Finish() (*Evidence, error) {
@@ -732,7 +672,7 @@ func (c *ParallelCollector) Finish() (*Evidence, error) {
 		}
 		return c.evidenceInMemory(), nil
 	}
-	ev, err := c.spill.mergeEvidence(append(c.sortShards(), c.base), c.allRuns, c.retRuns, c.stats)
+	ev, err := c.spill.mergeEvidence(c.adjRuns, c.allRuns, c.retRuns, c.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -764,51 +704,14 @@ func (c *ParallelCollector) Close() error {
 	return c.spill.close()
 }
 
-// sortShards extracts and sorts every shard's residue in parallel into
-// fresh runs, leaving room to append one more.
-func (c *ParallelCollector) sortShards() [][]trace.Adjacency {
-	runs := make([][]trace.Adjacency, len(c.shards), len(c.shards)+1)
-	var wg sync.WaitGroup
-	for i, shard := range c.shards {
-		wg.Add(1)
-		go func(i int, shard map[trace.Adjacency]struct{}) {
-			defer wg.Done()
-			runs[i] = sortAdjacencySet(shard, nil)
-		}(i, shard)
-	}
-	wg.Wait()
-	return runs
-}
-
-// sortAdjacencySet writes set's adjacencies into dst's storage in the
-// canonical (First, Second) order. It sorts their keys (adjKey), which
-// order the same way, because an ordered sort needs no comparison
-// callback.
-func sortAdjacencySet(set map[trace.Adjacency]struct{}, dst []trace.Adjacency) []trace.Adjacency {
-	keys := make([]uint64, 0, len(set))
-	for adj := range set {
-		keys = append(keys, adjKey(adj))
-	}
-	slices.Sort(keys)
-	if cap(dst) < len(keys) {
-		dst = make([]trace.Adjacency, 0, len(keys))
-	}
-	dst = dst[:0]
-	for _, k := range keys {
-		dst = append(dst, trace.Adjacency{First: inet.Addr(k >> 32), Second: inet.Addr(k)})
-	}
-	return dst
-}
-
-// evidenceInMemory merges the sorted shard, base and address runs
-// without touching disk; the address runs merge while the shards sort.
-// Shards partition the adjacency space and the merge drops what the
-// base already holds, so the output matches the serial Collector
-// exactly. Every run list is compacted into its merge and the shards
-// are emptied, so a long-lived collector's next finalisation sorts only
-// what arrived since and merges it with one run per list.
-// Evidence.Adjacencies is the new base run, which nothing writes;
-// AllAddrs and Monitors are built fresh.
+// evidenceInMemory merges the sorted adjacency and address runs
+// without touching disk, the address runs while the adjacency runs
+// merge. The merge drops duplicates across runs, so the output matches
+// the serial Collector exactly. Every run list is compacted into its
+// merge, so a long-lived collector's next finalisation merges what
+// arrived since with one run per list. Evidence.Adjacencies is the new
+// compacted adjacency run, which nothing writes; AllAddrs and Monitors
+// are built fresh.
 func (c *ParallelCollector) evidenceInMemory() *Evidence {
 	var all, ret []inet.Addr
 	var allAddrs inet.AddrSet
@@ -822,9 +725,8 @@ func (c *ParallelCollector) evidenceInMemory() *Evidence {
 			allAddrs[a] = struct{}{}
 		}
 	}()
-	adjs := mergeRuns(append(c.sortShards(), c.base), adjacencyCmp)
-	c.base = adjs
-	c.resetShards()
+	adjs := mergeRuns(c.adjRuns, adjacencyCmp)
+	c.adjRuns = [][]trace.Adjacency{adjs}
 	monitors := c.attribution()
 	<-done
 	c.allRuns, c.retRuns = [][]inet.Addr{all}, [][]inet.Addr{ret}
@@ -871,10 +773,23 @@ func (c *ParallelCollector) attribution() []MonitorEvidence {
 // order as the canonical (First, Second) order does.
 func adjKey(a trace.Adjacency) uint64 { return uint64(a.First)<<32 | uint64(a.Second) }
 
+// keyAdj unpacks an adjacency key.
+func keyAdj(k uint64) trace.Adjacency {
+	return trace.Adjacency{First: inet.Addr(k >> 32), Second: inet.Addr(k)}
+}
+
+// appendKeyAdjs appends the adjacencies of keys to dst.
+func appendKeyAdjs(dst []trace.Adjacency, keys []uint64) []trace.Adjacency {
+	for _, k := range keys {
+		dst = append(dst, keyAdj(k))
+	}
+	return dst
+}
+
 // adjHash mixes an adjacency key with the SplitMix64 finaliser
-// constant. A worker routes the adjacency to shard adjHash % shards and
-// caches its key in the adjacency-filter slot named by the top bits,
-// so both stay balanced even on structured corpora.
+// constant. A worker caches the key in the adjacency-filter slot named
+// by the top bits, and the monitor filter's slot (monSlot) starts from
+// it, so both filters stay balanced even on structured corpora.
 func adjHash(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

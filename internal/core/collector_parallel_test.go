@@ -14,7 +14,7 @@ import (
 )
 
 // synthTraces builds a deterministic corpus large enough to exercise the
-// batching and sharding paths: a mix of clean traces, quoted-TTL-0 hops,
+// batching and worker paths: a mix of clean traces, quoted-TTL-0 hops,
 // null hops, immediate repeats and interface cycles.
 func synthTraces(n int) []trace.Trace {
 	rng := rand.New(rand.NewSource(42))
@@ -49,7 +49,7 @@ func synthTraces(n int) []trace.Trace {
 	return traces
 }
 
-// The sharded collector must produce byte-identical evidence to the
+// The parallel collector must produce byte-identical evidence to the
 // serial collector for any worker count.
 func TestParallelCollectorEquivalence(t *testing.T) {
 	traces := synthTraces(3000)
@@ -80,7 +80,7 @@ func TestParallelCollectorEquivalence(t *testing.T) {
 	}
 }
 
-// Like the serial collector, the sharded collector stays usable after
+// Like the serial collector, the parallel collector stays usable after
 // Evidence: the pipeline restarts and later snapshots include both the
 // old and the new traces.
 func TestParallelCollectorIncremental(t *testing.T) {
@@ -296,7 +296,10 @@ func runSlack(c *ParallelCollector) string {
 	if len(c.monRuns) > 1 {
 		return "attribution runs not compacted into one"
 	}
-	runs := map[string][2]int{"base": {len(c.base), cap(c.base)}}
+	runs := map[string][2]int{}
+	for i, r := range c.adjRuns {
+		runs[fmt.Sprintf("adjacency %d", i)] = [2]int{len(r), cap(r)}
+	}
 	for _, r := range c.monRuns {
 		runs["attribution"] = [2]int{len(r), cap(r)}
 	}
@@ -429,7 +432,7 @@ func TestParallelCollectorMonitorFilterExact(t *testing.T) {
 	for id := uint32(0); id <= m; id++ {
 		traces = append(traces, trace.NewTrace(fmt.Sprintf("mon-%05d", id), 0x0b000001, a, b))
 	}
-	const links, perTrace = 4 * monCompactMin, 64
+	const links, perTrace = 4 * keyCompactMin, 64
 	for round := 0; round < 6; round++ {
 		for lo := 0; lo < links; lo += perTrace {
 			hops := make([]inet.Addr, perTrace+1)

@@ -13,7 +13,7 @@ import (
 // and asserts every intermediate and final artefact is identical: the
 // Evidence adjacency slice, the per-iteration stateHash, and the
 // Result. Run under -race in CI, this is both the determinism proof and
-// the data-race canary for the sharded pipeline.
+// the data-race canary for the parallel ingest pipeline.
 func TestParallelPipelineDeterminism(t *testing.T) {
 	gen := topo.DefaultGenConfig()
 	tc := topo.DefaultTraceConfig()
@@ -25,7 +25,7 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 	ds := w.GenTraces(tc)
 	orgs, rels, dir := w.PublicInputs(topo.DefaultNoiseConfig())
 
-	// Ingest: serial collector vs sharded collector vs batch sanitise.
+	// Ingest: serial collector vs parallel collector vs batch sanitise.
 	serial := NewCollector()
 	for _, tr := range ds.Traces {
 		serial.Add(tr)
@@ -37,14 +37,14 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 	}
 	evP := par.Evidence()
 	if !reflect.DeepEqual(evS.Adjacencies, evP.Adjacencies) {
-		t.Fatalf("sharded collector adjacency slice diverges (%d vs %d)",
+		t.Fatalf("parallel collector adjacency slice diverges (%d vs %d)",
 			len(evS.Adjacencies), len(evP.Adjacencies))
 	}
 	if evS.Stats != evP.Stats {
-		t.Fatalf("sharded collector stats diverge: %+v vs %+v", evS.Stats, evP.Stats)
+		t.Fatalf("parallel collector stats diverge: %+v vs %+v", evS.Stats, evP.Stats)
 	}
 	if !reflect.DeepEqual(evS.AllAddrs, evP.AllAddrs) {
-		t.Fatal("sharded collector address set diverges")
+		t.Fatal("parallel collector address set diverges")
 	}
 	if evSan := EvidenceFrom(ds.Sanitize()); !reflect.DeepEqual(evS.Adjacencies, evSan.Adjacencies) {
 		t.Fatal("evidence from batch sanitise diverges from streaming evidence")

@@ -331,8 +331,8 @@ func TestIngestFramesMatchStreamingReader(t *testing.T) {
 }
 
 // TestIngestorSpillFilesBounded: a long-lived spilling ingestor keeps
-// one segment file per shard and one per worker slot, however many
-// pipeline runs it goes through, and each round's evidence is the
+// one segment file per worker slot, however many pipeline runs it goes
+// through, and each round's evidence is the
 // serial Collector's over everything ingested so far.
 func TestIngestorSpillFilesBounded(t *testing.T) {
 	const workers = 2
@@ -364,8 +364,8 @@ func TestIngestorSpillFilesBounded(t *testing.T) {
 		if sp.AddrRuns == 0 || sp.AdjRuns == 0 {
 			t.Fatalf("round %d: nothing spilled: %+v", round, sp)
 		}
-		if sp.Files > 2*workers {
-			t.Fatalf("round %d: %d spill files, want at most %d", round, sp.Files, 2*workers)
+		if sp.Files > workers {
+			t.Fatalf("round %d: %d spill files, want at most %d", round, sp.Files, workers)
 		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // IngestOptions configures an Ingestor.
 type IngestOptions struct {
-	// Workers parallelises sanitisation and adjacency deduplication;
-	// results are identical for any value. Zero or negative means
+	// Workers is the number of sanitise workers, each of which decodes,
+	// sanitises and deduplicates its share of the traces; results are
+	// identical for any value. Zero or negative means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 

@@ -296,8 +296,8 @@ func TestIngestorStrict(t *testing.T) {
 }
 
 // TestIngestorCloseStopsPipeline: Close after a failed ingest must stop
-// the collector's sanitise workers and shard owners, which otherwise
-// wait forever for the batches the aborted decode never sent — in
+// the collector's sanitise workers, which otherwise wait forever for
+// the work the aborted decode never sent — in
 // memory and spilling alike, with the spill directory left empty. The
 // failures come from the frame reader (a junk tail) and from a worker
 // (a payload partway through the stream that only decoding reveals),

@@ -124,10 +124,10 @@ func (lt *loserTree[T]) next() (T, bool, error) {
 
 // mergeDedup streams the merged union of sorted runs to yield, dropping
 // duplicates. Each run must itself be sorted and duplicate-free (they
-// are snapshots of dedup maps); duplicates across runs collapse because
-// equal elements exit the tree consecutively (ties break by source
-// index, and every source is strictly increasing). Memory is O(k) heads
-// regardless of run sizes.
+// are snapshots of dedup structures), but runs may overlap: duplicates
+// across runs collapse because equal elements exit the tree
+// consecutively (ties break by source index, and every source is
+// strictly increasing). Memory is O(k) heads regardless of run sizes.
 func mergeDedup[T comparable](srcs []mergeSource[T], cmp func(a, b T) int, yield func(T)) error {
 	lt, err := newLoserTree(srcs, cmp)
 	if err != nil {

@@ -12,11 +12,13 @@ import (
 )
 
 // Out-of-core evidence store (DESIGN.md §11). The ParallelCollector's
-// dedup structures — the adjacency shards and the address sets — are
-// the only ingest state that grows with corpus size. When a memory
-// budget is configured, each party flushes its structure as a sorted,
-// duplicate-free *run* into a columnar spill segment (trace.Segment*)
-// whenever its estimated resident cost crosses the budget, and
+// dedup structures — each sanitise worker's adjacency key list and
+// address set, and the runs they leave at retirement — are the only
+// ingest state that grows with corpus size. When a memory budget is
+// configured, each worker flushes its structures as sorted,
+// duplicate-free *runs* into its own columnar spill segment
+// (trace.Segment*) whenever their estimated resident cost crosses its
+// share of the budget, and
 // finalisation k-way merges the spilled runs with the in-memory residue
 // (mergeDedup) into evidence byte-identical to the in-memory path: the
 // output is the sorted union of the runs, and the union is determined
@@ -44,11 +46,12 @@ type SpillConfig struct {
 // enabled reports whether the configuration asks for spilling at all.
 func (c SpillConfig) enabled() bool { return c.MemBudget > 0 || c.RunEntries > 0 }
 
-// Estimated resident bytes per entry of the dedup structures: a
-// map[Adjacency]struct{} entry (8-byte key plus bucket overhead) and an
-// AddrSet entry (4-byte key plus overhead). Deliberately rough — the
-// budget is a ceiling on an estimate, and the benchmark asserts the
-// real heap stays under the configured ceiling end to end.
+// Estimated resident bytes per entry of the dedup structures: an
+// adjacency (the cost of a map[Adjacency]struct{} entry, which
+// overstates a key list's 8–16 bytes) and an AddrSet entry (4-byte key
+// plus overhead). Deliberately rough — the budget is a ceiling on an
+// estimate, and the benchmark asserts the real heap stays under the
+// configured ceiling end to end.
 const (
 	adjEntryCost  = 56
 	addrEntryCost = 48
@@ -79,10 +82,10 @@ func (s SpillStats) String() string {
 }
 
 // spillSink is the shared spill state of one collector: configuration,
-// the file registry, counters, and the sticky first error. Individual
-// segment files are written by exactly one party (one shard owner or
-// one worker) without locking; only the registry,
-// counters and error go through the mutex.
+// the file registry, counters, and the sticky first error. Each segment
+// file is written by exactly one party, the sanitise worker of its slot,
+// without locking; only the registry, counters and error go through the
+// mutex.
 type spillSink struct {
 	cfg SpillConfig
 
@@ -185,7 +188,7 @@ func (s *spillSink) close() error {
 
 // spill streams: which run list of a spillFile a run lands in.
 const (
-	streamAdj = iota // adjacency set
+	streamAdj = iota // adjacencies
 	streamAll        // all observed addresses
 	streamRet        // addresses on retained traces
 	numStreams
@@ -200,21 +203,21 @@ type spillFile struct {
 	runs [numStreams][]trace.SegmentRun
 }
 
-// spiller is one spilling party's handle: it lazily opens the party's
-// file and owns the reusable flush scratch.
+// spiller is one worker slot's handle: it lazily opens the slot's file
+// and owns the reusable flush scratch.
 type spiller struct {
 	sink *spillSink
 	file *spillFile
-	// adjScratch / allScratch / retScratch are the reusable sort
-	// buffers runs are staged through; nothing retains them past the
-	// Append call.
+	// adjScratch / allScratch / retScratch are the reusable buffers
+	// runs are staged through; nothing retains them past the Append
+	// call.
 	adjScratch             []trace.Adjacency
 	allScratch, retScratch []inet.Addr
 }
 
 func newSpiller(sink *spillSink) *spiller { return &spiller{sink: sink} }
 
-// ensureFile opens the party's segment on first use.
+// ensureFile opens the slot's segment on first use.
 func (sp *spiller) ensureFile() (*spillFile, error) {
 	if sp.file != nil {
 		return sp.file, nil
@@ -227,19 +230,20 @@ func (sp *spiller) ensureFile() (*spillFile, error) {
 	return sf, nil
 }
 
-// flushAdjSet writes the set as one sorted adjacency run and reports
-// whether it was spilled (the caller must then discard the set). A set
-// that is empty, or any write failure, leaves the set untouched in
-// memory — earlier runs in the file remain valid either way.
-func (sp *spiller) flushAdjSet(set map[trace.Adjacency]struct{}) bool {
-	if len(set) == 0 || sp.sink.failed() != nil {
+// flushAdjKeys writes a sorted, duplicate-free adjacency key list as
+// one adjacency run and reports whether it was spilled (the caller may
+// then drop the keys). A list that is empty, or any write failure,
+// leaves the keys to the caller — earlier runs in the file remain valid
+// either way.
+func (sp *spiller) flushAdjKeys(keys []uint64) bool {
+	if len(keys) == 0 || sp.sink.failed() != nil {
 		return false
 	}
 	sf, err := sp.ensureFile()
 	if err != nil {
 		return false
 	}
-	sp.adjScratch = sortAdjacencySet(set, sp.adjScratch)
+	sp.adjScratch = appendKeyAdjs(sp.adjScratch[:0], keys)
 	run, err := sf.sw.AppendAdjacencyRun(sp.adjScratch)
 	if err != nil {
 		sp.sink.fail(err)
@@ -319,9 +323,9 @@ func addrCursorSource(f *os.File, run trace.SegmentRun) (mergeSource[inet.Addr],
 }
 
 // mergeEvidence finalises a spilled collector: every spilled run joins
-// the in-memory runs (sorted, duplicate-free slices: the shard residues,
-// the base run an earlier in-memory Finish left, and the collector's
-// address runs) in one bounded-memory k-way merge per stream. stats must carry the ingest
+// the in-memory runs (sorted, duplicate-free slices that may overlap:
+// the collector's resident adjacency and address runs) in one
+// bounded-memory k-way merge per stream. stats must carry the ingest
 // counters; the distinct/retained address counts come out of the merge.
 // Peak extra memory is one page buffer per open cursor plus the final
 // evidence itself.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,8 +77,8 @@ func checkSpillEquivalence(t *testing.T, traces []trace.Trace, workerCounts ...i
 			}
 			equalSpillEvidence(t, label, want, got)
 			// Workers flush their address sets at retirement under any
-			// budget, so only adjacency runs show that the shard owners
-			// spilled; shards below their share keep adjacencies resident.
+			// budget, so only adjacency runs show that the adjacency half
+			// spilled; under it, workers keep adjacencies resident.
 			st := par.SpillStats()
 			if tc.mustSpill && (st.AdjRuns == 0 || st.AddrRuns == 0) {
 				t.Fatalf("%s: expected adjacency and address runs, stats %+v", label, st)
@@ -99,7 +101,7 @@ func TestCollectorSpillEquivalence(t *testing.T) {
 }
 
 // TestParallelCollectorSpillEquivalence sweeps the same thresholds with
-// several sanitise workers racing over the shards.
+// several sanitise workers, whose adjacency runs overlap.
 func TestParallelCollectorSpillEquivalence(t *testing.T) {
 	checkSpillEquivalence(t, synthTraces(3000), 2, 4)
 }
@@ -403,8 +405,8 @@ func TestSpillSegmentDamage(t *testing.T) {
 		sink := newSpillSink(SpillConfig{Dir: t.TempDir(), RunEntries: 1})
 		return sink, newSpiller(sink)
 	}
-	adjSet := map[trace.Adjacency]struct{}{
-		{First: 10, Second: 11}: {}, {First: 12, Second: 13}: {},
+	adjKeys := []uint64{
+		adjKey(trace.Adjacency{First: 10, Second: 11}), adjKey(trace.Adjacency{First: 12, Second: 13}),
 	}
 	addrs := func(flag uint8) map[inet.Addr]uint8 {
 		return map[inet.Addr]uint8{21: flag, 22: flag, 23: flag}
@@ -412,7 +414,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 
 	t.Run("adj-run-truncated", func(t *testing.T) {
 		sink, sp := newParty(t)
-		if !sp.flushAdjSet(adjSet) {
+		if !sp.flushAdjKeys(adjKeys) {
 			t.Fatal("flush failed")
 		}
 		if err := sp.file.sw.Flush(); err != nil {
@@ -452,7 +454,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 
 	t.Run("writer-flush-failure", func(t *testing.T) {
 		sink, sp := newParty(t)
-		if !sp.flushAdjSet(adjSet) {
+		if !sp.flushAdjKeys(adjKeys) {
 			t.Fatal("flush failed")
 		}
 		// Closing the descriptor under the writer makes the merge's
@@ -471,7 +473,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 
 	t.Run("close-missing-file", func(t *testing.T) {
 		sink, sp := newParty(t)
-		if !sp.flushAdjSet(adjSet) {
+		if !sp.flushAdjKeys(adjKeys) {
 			t.Fatal("flush failed")
 		}
 		if err := os.Remove(sp.file.f.Name()); err != nil {
@@ -485,11 +487,86 @@ func TestSpillSegmentDamage(t *testing.T) {
 	t.Run("flush-after-failure-is-noop", func(t *testing.T) {
 		sink, sp := newParty(t)
 		sink.fail(errors.New("boom"))
-		if sp.flushAdjSet(adjSet) || sp.flushFlaggedAddrs(addrs(addrSeen)) {
+		if sp.flushAdjKeys(adjKeys) || sp.flushFlaggedAddrs(addrs(addrSeen)) {
 			t.Error("flush reported success on a failed sink")
 		}
 		if sink.spilled() {
 			t.Error("failed sink recorded runs")
 		}
 	})
+}
+
+// shiftTraces copies traces with every responding address, and the
+// destination, moved up by off, so that each copy brings adjacencies of
+// its own.
+func shiftTraces(traces []trace.Trace, off inet.Addr) []trace.Trace {
+	out := make([]trace.Trace, len(traces))
+	for i, tr := range traces {
+		hops := slices.Clone(tr.Hops)
+		for j := range hops {
+			if hops[j].Addr != 0 {
+				hops[j].Addr += off
+			}
+		}
+		out[i] = trace.Trace{Monitor: tr.Monitor, Dst: tr.Dst + off, Hops: hops}
+	}
+	return out
+}
+
+// TestIngestorAdjacencyRetirementBudget: a spilling worker keeps its
+// adjacency residue resident at retirement only while the collector's
+// resident adjacency runs stay within the adjacency half of the byte
+// budget. Each round ingests fresh adjacencies, few enough that no
+// worker's key list reaches its share mid-stream, so the rounds pile up
+// residues until they overflow the half-budget together: from then on
+// residues must go to disk, and the resident runs must never pass the
+// half-budget. Every round's evidence is the serial Collector's.
+func TestIngestorAdjacencyRetirementBudget(t *testing.T) {
+	const (
+		workers = 2
+		rounds  = 6
+		budget  = 128 << 10
+	)
+	base := synthTraces(250)
+	g := NewIngestor(IngestOptions{Workers: workers, Spill: SpillConfig{Dir: t.TempDir(), MemBudget: budget}})
+	defer g.Close()
+	serial := NewCollector()
+	overflowed := false
+	for round := 0; round < rounds; round++ {
+		traces := shiftTraces(base, inet.Addr(round)<<20)
+		var buf bytes.Buffer
+		if err := trace.WriteBinaryBlocks(&buf, &trace.Dataset{Traces: traces}, 64); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Ingest(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range traces {
+			serial.Add(tr)
+		}
+		ev, err := g.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := serial.Evidence()
+		equalSpillEvidence(t, fmt.Sprintf("round %d", round), want, ev)
+		resident := 0
+		for _, r := range g.coll.adjRuns {
+			resident += len(r)
+		}
+		if resident*adjEntryCost > budget/2 {
+			t.Fatalf("round %d: %d resident adjacency entries cost more than the %d B half-budget", round, resident, budget/2)
+		}
+		st := g.SpillStats()
+		if round == 0 && (st.AdjRuns != 0 || resident == 0) {
+			t.Fatalf("round 0: one round's residue must fit the half-budget: %d resident, %+v", resident, st)
+		}
+		overflowed = overflowed || len(want.Adjacencies)*adjEntryCost > budget/2
+		if overflowed && st.AdjRuns == 0 {
+			t.Fatalf("round %d: %d adjacencies overflow the half-budget, yet none spilled", round, len(want.Adjacencies))
+		}
+	}
+	if !overflowed {
+		t.Fatal("the rounds never overflowed the half-budget")
+	}
 }

@@ -81,8 +81,8 @@ type SegmentRun struct {
 }
 
 // SegmentWriter appends runs to one spill segment file. Not safe for
-// concurrent use; every spilling party (collector, shard owner, worker)
-// owns its own writer.
+// concurrent use; every spilling party (a collector's sanitise worker
+// slot) owns its own writer.
 type SegmentWriter struct {
 	bw  *bufio.Writer
 	off int64

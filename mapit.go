@@ -127,8 +127,9 @@ type (
 	// Collector accumulates evidence incrementally without retaining
 	// traces, on one goroutine and in memory.
 	Collector = core.Collector
-	// ParallelCollector is a sharded Collector that sanitises and
-	// deduplicates across worker goroutines with byte-identical output.
+	// ParallelCollector is a Collector that sanitises and deduplicates
+	// on worker goroutines, each keeping sorted runs that finalisation
+	// merges, with byte-identical output.
 	ParallelCollector = core.ParallelCollector
 	// Evidence is the distilled algorithm input.
 	Evidence = core.Evidence
@@ -145,8 +146,9 @@ type (
 // NewCollector returns an empty streaming collector.
 func NewCollector() *Collector { return core.NewCollector() }
 
-// NewParallelCollector returns an empty sharded streaming collector;
-// workers < 1 means runtime.GOMAXPROCS(0).
+// NewParallelCollector returns an empty streaming collector with the
+// given number of sanitise workers; workers < 1 means
+// runtime.GOMAXPROCS(0).
 func NewParallelCollector(workers int) *ParallelCollector {
 	return core.NewParallelCollector(workers)
 }
