@@ -68,3 +68,21 @@ func BenchmarkStateBuild(b *testing.B) {
 		}
 	})
 }
+
+// resultSink keeps BenchmarkResult's output live.
+var resultSink *Result
+
+// BenchmarkResult times the result build alone — the inference list
+// and its sort, from a converged state — over the same inputs; the
+// state build and the fixpoint run once, outside the timer.
+func BenchmarkResult(b *testing.B) {
+	benchSizes(b, func(b *testing.B, cfg *Config, ev *Evidence) {
+		st := newRunState(cfg, ev)
+		st.fixpoint()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resultSink = st.result()
+		}
+	})
+}
