@@ -36,37 +36,36 @@ func (st *runState) addStep(first bool) {
 
 // scanHalf applies the Alg 2 direct-inference test to one half against
 // the committed mappings. Read-only; safe from scan workers.
-func (st *runState) scanHalf(hi int32, sc *electScratch) (directInf, bool) {
+func (st *runState) scanHalf(hi int32, sc *electScratch) (pendingAdd, bool) {
 	if st.dirConnID[hi] >= 0 {
-		return directInf{}, false
+		return pendingAdd{}, false
 	}
 	if st.inferredOnce[hi] {
-		return directInf{}, false
+		return pendingAdd{}, false
 	}
 	return st.scanHalfElect(hi, st.electNeighborAS(hi, sc))
 }
 
 // scanHalfElect is the election-consuming tail of scanHalf, split out so
 // the auditor can re-run the §4.4.1 tests with its own election scratch.
-func (st *runState) scanHalfElect(hi int32, elect countResult) (directInf, bool) {
+func (st *runState) scanHalfElect(hi int32, elect countResult) (pendingAdd, bool) {
 	if elect.winnerOrg < 0 {
-		return directInf{}, false
+		return pendingAdd{}, false
 	}
 	if float64(elect.votes) < st.cfg.F*float64(elect.total) {
-		return directInf{}, false
+		return pendingAdd{}, false
 	}
 	curID := st.idx.mapID[hi]
 	if curID >= 0 && st.idx.orgOfASN[curID] == elect.winnerOrg {
-		return directInf{}, false // no AS switch: internal or sibling boundary (§4.9)
+		return pendingAdd{}, false // no AS switch: internal or sibling boundary (§4.9)
 	}
-	return directInf{local: st.idx.asnAt(curID), localID: curID,
-		connected: elect.connected, connectedID: elect.connectedID}, true
+	return pendingAdd{hi: hi, connID: elect.connectedID, localID: curID}, true
 }
 
-// pendingAdd is one scan survivor awaiting commit.
+// pendingAdd is one scan survivor awaiting commit: the half and the
+// intern ids of its connected and local (committed) ASes.
 type pendingAdd struct {
-	hi int32
-	d  directInf
+	hi, connID, localID int32
 }
 
 // directPass is Alg 2: one pass over every eligible half (halvesIdx,
@@ -86,8 +85,8 @@ func (st *runState) directPass() int {
 	parallelChunks(len(scanList), st.cfg.workers(), func(w, lo, hi int) {
 		sc := &st.electScr[w]
 		for _, hidx := range scanList[lo:hi] {
-			if d, ok := st.scanHalf(hidx, sc); ok {
-				shards[w] = append(shards[w], pendingAdd{hi: hidx, d: d})
+			if p, ok := st.scanHalf(hidx, sc); ok {
+				shards[w] = append(shards[w], p)
 			}
 		}
 	})
@@ -104,40 +103,25 @@ func (st *runState) directPass() int {
 	}
 	st.addsBuf = adds
 	// Commit: new inferences and updates become visible next pass.
-	for i := range adds {
-		p := &adds[i]
-		h := st.halfAt(p.hi)
-		// Copy out of the reused scan buffer: direct holds pointers.
-		st.setDirect(h, p.hi, st.newDirectInf(p.d))
+	for _, p := range adds {
+		st.setDirect(p.hi, p.connID, p.localID, false)
 		st.inferredOnce[p.hi] = true
-		st.setOverrideIdx(h, p.hi, p.d.connected, p.d.connectedID)
+		st.setOverride(p.hi, p.connID)
 		if st.cfg.WholeInterfaceUpdates { // ablation only
-			st.setOverrideIdx(h.Opposite(), p.hi^1, p.d.connected, p.d.connectedID)
+			st.setOverride(p.hi^1, p.connID)
 		}
 		// §4.4.2: update the other side of the link, unless the
 		// interface is IXP-numbered (multipoint peering LANs have no
 		// meaningful /30-/31 other side, fn7) or the pairing was severed.
-		ai := p.hi >> 1
-		if st.idx.ixpA[ai] {
+		// An other side outside the interface universe takes its update
+		// implicitly (setDirect).
+		if st.idx.ixpA[p.hi>>1] {
 			continue
 		}
-		// Indexed other side: the flat mirrors answer the severed and
-		// self-direct tests without touching a map. Unindexed (or absent)
-		// other sides fall back to the Half-keyed path.
-		if oi := st.idx.otherIdx[ai]; oi >= 0 {
-			if st.severedIdx[ai] {
-				continue
-			}
-			oh := Half{Addr: st.addrs[oi], Dir: h.Dir.Opposite()}
-			ohIdx := halfSlot(oi, oh.Dir)
-			st.setIndirectIdx(oh, ohIdx, h, p.hi)
-			if st.dirConnID[ohIdx] < 0 {
-				st.setOverrideIdx(oh, ohIdx, p.d.connected, p.d.connectedID)
-			}
-		} else if oh, ok := st.otherHalf(p.hi); ok {
-			st.setIndirect(oh, h)
-			if _, selfDirect := st.direct[oh]; !selfDirect {
-				st.setOverride(oh, p.d.connected)
+		if oh, ok := st.otherHalfIdx(p.hi); ok {
+			st.setIndirect(oh, p.hi)
+			if st.dirConnID[oh] < 0 {
+				st.setOverride(oh, p.connID)
 			}
 		}
 	}
@@ -221,26 +205,18 @@ func (st *runState) resolveDivergentOtherSides() bool {
 		}
 	}
 	for _, ai := range toSever {
-		a := st.addrs[ai]
-		if st.severed[a] {
+		if st.severedIdx[ai] {
 			continue // already severed via the partner
 		}
-		other := st.otherA[ai]
-		st.severed[a] = true
+		oi := ix.otherIdx[ai]
 		st.severedIdx[ai] = true
-		st.severed[other] = true
-		if oi := ix.otherIdx[ai]; oi >= 0 {
-			st.severedIdx[oi] = true
-		}
+		st.severedIdx[oi] = true
 		st.diag.DivergentOtherSides++
 		// Drop any indirect couplings between the two interfaces.
-		for _, h := range [4]Half{
-			{Addr: a, Dir: Forward}, {Addr: a, Dir: Backward},
-			{Addr: other, Dir: Forward}, {Addr: other, Dir: Backward},
-		} {
-			if src, ok := st.indirect[h]; ok && (src.Addr == a || src.Addr == other) {
-				st.unsetIndirect(h)
-				st.recomputeOverride(h)
+		for _, hi := range [4]int32{2 * ai, 2*ai + 1, 2 * oi, 2*oi + 1} {
+			if src := st.indirectSrc[hi]; src >= 0 && (src>>1 == ai || src>>1 == oi) {
+				st.unsetIndirect(hi)
+				st.recomputeOverride(hi)
 			}
 		}
 		changed = true

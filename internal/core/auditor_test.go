@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -159,9 +160,9 @@ func auditFixture(t *testing.T) *runState {
 	if !st.auditor.report.Ok() {
 		t.Fatalf("fixture not clean before corruption: %v", st.auditor.report.Violations)
 	}
-	if len(st.direct) == 0 || len(st.overrides) == 0 {
-		t.Fatalf("fixture carries no inference state (direct=%d overrides=%d)",
-			len(st.direct), len(st.overrides))
+	present := func(id int32) bool { return id >= 0 }
+	if !slices.ContainsFunc(st.dirConnID, present) || !slices.Contains(st.ovSet, true) {
+		t.Fatal("fixture carries no direct inference or no override")
 	}
 	return st
 }
@@ -187,14 +188,23 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		{"state-hash", "state-hash", func(t *testing.T, st *runState) {
 			st.hashSum ^= 0xdeadbeef
 		}},
-		{"mirror", "mirror", func(t *testing.T, st *runState) {
+		{"state-hash-column", "state-hash", func(t *testing.T, st *runState) {
 			for hi := range st.dirConnID {
 				if st.dirConnID[hi] >= 0 {
 					st.dirConnID[hi] = -1
 					return
 				}
 			}
-			t.Fatal("no direct mirror to corrupt")
+			t.Fatal("no direct inference to drop")
+		}},
+		{"mapping", "mapping", func(t *testing.T, st *runState) {
+			for hi, set := range st.ovSet {
+				if !set && st.idx.baseID[hi>>1] >= 0 {
+					st.idx.mapID[hi] = -1
+					return
+				}
+			}
+			t.Fatal("no announced half without an override to corrupt")
 		}},
 		{"base-mapping", "base-mapping", func(t *testing.T, st *runState) {
 			for i, id := range st.idx.baseID {
@@ -210,12 +220,9 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		}},
 		{"backing", "backing", func(t *testing.T, st *runState) {
 			for hi := range st.dirConnID {
-				h := st.halfAt(int32(hi))
-				_, d := st.direct[h]
-				_, i := st.indirect[h]
-				_, o := st.overrides[h]
-				if !d && !i && !o {
-					st.overrides[h] = 65000
+				if st.dirConnID[hi] < 0 && st.indirectSrc[hi] < 0 && !st.ovSet[hi] {
+					st.ovSet[hi] = true
+					st.idx.mapID[hi] = 0
 					return
 				}
 			}
@@ -223,6 +230,34 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		}},
 		{"interning", "interning", func(t *testing.T, st *runState) {
 			st.idx.asnOf[0]++
+		}},
+		{"other-side-shared", "other-side", func(t *testing.T, st *runState) {
+			// Give a second interface the outside other side of a first:
+			// the implicit records of the two would collide.
+			first := -1
+			for ai := range st.addrs {
+				if st.hasOther[ai] && st.idx.otherIdx[ai] < 0 {
+					if first < 0 {
+						first = ai
+						continue
+					}
+					st.otherA[ai] = st.otherA[first]
+					st.auditOtherSides()
+					return
+				}
+			}
+			t.Fatal("fewer than two interfaces with outside other sides")
+		}},
+		{"other-side-asymmetric", "other-side", func(t *testing.T, st *runState) {
+			for ai := range st.addrs {
+				if aj := ai + 1; aj < len(st.addrs) && st.hasOther[ai] && st.hasOther[aj] {
+					st.idx.otherIdx[ai] = int32(aj)
+					st.idx.otherIdx[aj] = -1
+					st.auditOtherSides()
+					return
+				}
+			}
+			t.Fatal("no two adjacent interfaces with other sides")
 		}},
 	}
 	for _, c := range cases {
@@ -267,7 +302,6 @@ func TestAuditBoundaryChecks(t *testing.T) {
 		}
 		cur := st.dirConnID[hi]
 		st.dirConnID[hi] = (cur + 1) % int32(len(st.idx.asnOf))
-		st.direct[st.halfAt(hi)].connectedID = st.dirConnID[hi]
 		st.auditCheckpoint(auditStageRemove, 9)
 		if !hasViolation(st.auditor.report, "retention") {
 			t.Fatalf("expected a retention violation, got %v", st.auditor.report.Violations)
@@ -275,24 +309,22 @@ func TestAuditBoundaryChecks(t *testing.T) {
 	})
 	t.Run("add-fixpoint", func(t *testing.T) {
 		st := auditFixture(t)
-		// Erase a direct inference through the real funnels (so every
-		// mirror and the fingerprint stay coherent) without latching
+		// Erase a direct inference through the real funnels (so the
+		// columns and the fingerprint stay coherent) without latching
 		// its half: the from-scratch election still passes, so the add
 		// step "missed" it.
-		var h Half
 		var hi int32 = -1
 		for i := range st.dirConnID {
 			if st.dirConnID[i] >= 0 && !st.dirStub[i] {
 				hi = int32(i)
-				h = st.halfAt(hi)
 				break
 			}
 		}
 		if hi < 0 {
 			t.Fatal("no direct inference to erase")
 		}
-		st.unsetDirectIdx(h, hi)
-		st.recomputeOverride(h)
+		st.unsetDirect(hi)
+		st.recomputeOverride(hi)
 		st.inferredOnce[hi] = false
 		st.auditCheckpoint(auditStageAdd, 9)
 		if !hasViolation(st.auditor.report, "add-fixpoint") {
@@ -302,8 +334,8 @@ func TestAuditBoundaryChecks(t *testing.T) {
 	t.Run("direct-scan", func(t *testing.T) {
 		st := auditFixture(t)
 		// Plant a direct record on a non-eligible half through the real
-		// funnel, so the map, the mirrors and the fingerprint all agree:
-		// only directScan, which walks the eligible halves, misses it.
+		// funnel, so the columns and the fingerprint agree: only
+		// directScan, which walks the eligible halves, misses it.
 		var hi int32 = -1
 		for i := int32(0); i < int32(len(st.dirConnID)); i++ {
 			if st.idx.nbrOff[i+1] == st.idx.nbrOff[i] && st.dirConnID[i] < 0 {
@@ -314,12 +346,7 @@ func TestAuditBoundaryChecks(t *testing.T) {
 		if hi < 0 {
 			t.Fatal("no non-eligible half to plant a record on")
 		}
-		local := st.idx.mapID[hi]
-		d := directInf{localID: local, connected: st.idx.asnOf[0], connectedID: 0}
-		if local >= 0 {
-			d.local = st.idx.asnOf[local]
-		}
-		st.setDirect(st.halfAt(hi), hi, st.newDirectInf(d))
+		st.setDirect(hi, 0, st.idx.mapID[hi], false)
 		// The final checkpoint skips the check: §4.8 stub inferences
 		// legitimately sit on non-eligible halves after the loop.
 		st.auditCheckpoint(auditStageFinal, 9)
@@ -327,12 +354,9 @@ func TestAuditBoundaryChecks(t *testing.T) {
 			t.Fatalf("final checkpoint flagged the planted record: %v", st.auditor.report.Violations)
 		}
 		st.auditCheckpoint(auditStageAdd, 9)
-		for _, v := range st.auditor.report.Violations {
-			if v.Check == "mirror" && strings.HasPrefix(v.Detail, "directScan") {
-				return
-			}
+		if !hasViolation(st.auditor.report, "direct-scan") {
+			t.Fatalf("expected a direct-scan violation, got %v", st.auditor.report.Violations)
 		}
-		t.Fatalf("expected a directScan mirror violation, got %v", st.auditor.report.Violations)
 	})
 }
 

@@ -120,7 +120,7 @@ type Config struct {
 
 	// Audit, when enabled, runs the runtime invariant auditor at every
 	// fixpoint step boundary: the maintained state (state fingerprint,
-	// base mappings, intern index and flat mirrors) is cross-checked
+	// base mappings, intern index and committed-mapping view) is cross-checked
 	// against first-principles recomputation, and each step's result
 	// against a from-scratch election. Violations are collected into Result.Audit and
 	// counted in Result.Diag.AuditViolations; a clean audited run is

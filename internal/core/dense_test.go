@@ -83,16 +83,36 @@ func buildMapModel(cfg *Config, ev *Evidence) *mapModel {
 	return m
 }
 
+// addrIdx returns a's index in addrs, or -1 when a is outside the
+// interface universe.
+func (st *runState) addrIdx(a inet.Addr) int32 {
+	if i, ok := slices.BinarySearch(st.addrs, a); ok {
+		return int32(i)
+	}
+	return -1
+}
+
+// halfIdx returns h's dense index, or -1 when h's address is outside the
+// interface universe.
+func (st *runState) halfIdx(h Half) int32 {
+	i := st.addrIdx(h.Addr)
+	if i < 0 {
+		return -1
+	}
+	return halfSlot(i, h.Dir)
+}
+
 // suggest is the map-walk probe-suggestion scan: the dense run state's
-// inference maps read through the model's address-keyed inputs, sorted
-// by (Addr, Dir) at the end.
+// inference columns read through the model's address-keyed inputs,
+// sorted by (Addr, Dir) at the end.
 func (m *mapModel) suggest(st *runState) []ProbeSuggestion {
 	mapping := func(h Half) inet.ASN {
-		if asn, ok := st.overrides[h]; ok {
-			return asn
+		if hi := st.halfIdx(h); st.ovSet[hi] {
+			return st.idx.asnOf[st.idx.mapID[hi]]
 		}
 		return m.baseAS[h.Addr]
 	}
+	hasInference := func(h Half) bool { return st.hasInferenceIdx(st.halfIdx(h)) }
 	var out []ProbeSuggestion
 	for _, a := range m.addrs {
 		if m.ixpAddr[a] {
@@ -104,7 +124,7 @@ func (m *mapModel) suggest(st *runState) []ProbeSuggestion {
 			if dir == Backward {
 				nbrs = m.nbrB[a]
 			}
-			if len(nbrs) != 1 || hasInference(st, h) || hasInference(st, h.Opposite()) {
+			if len(nbrs) != 1 || hasInference(h) || hasInference(h.Opposite()) {
 				continue
 			}
 			n := nbrs[0]
@@ -114,7 +134,7 @@ func (m *mapModel) suggest(st *runState) []ProbeSuggestion {
 			nh := Half{Addr: n, Dir: dir.Opposite()}
 			localAS, nbrAS := mapping(h), mapping(nh)
 			if localAS.IsZero() || nbrAS.IsZero() || st.cfg.Orgs.SameOrg(localAS, nbrAS) ||
-				hasInference(st, nh) {
+				hasInference(nh) {
 				continue
 			}
 			out = append(out, ProbeSuggestion{Addr: a, Dir: dir, Neighbor: n,
@@ -241,7 +261,9 @@ func TestDenseStateMatchesMapModel(t *testing.T) {
 
 	t.Run("unindexed-other-side-override", func(t *testing.T) {
 		// x's /30 other side 4.68.110.185 never appears in a trace, so
-		// the indirect record and override land outside the id space.
+		// the indirect record and override that x_f's direct inference
+		// puts on it lie outside the id space: no column holds them,
+		// but the fingerprint must.
 		ip2as := table("62.115.0.0/16=1299", "4.68.0.0/16=3356", "91.200.0.0/16=51159")
 		s := sanitized(
 			tr("62.115.0.1", "4.68.110.186", "91.200.0.1"),
@@ -254,15 +276,47 @@ func TestDenseStateMatchesMapModel(t *testing.T) {
 		}
 		st := newRunState(cfg, ev)
 		st.fixpoint()
-		oh := Half{Addr: ip("4.68.110.185"), Dir: Backward}
+		x, oh := Half{Addr: ip("4.68.110.186"), Dir: Forward}, Half{Addr: ip("4.68.110.185"), Dir: Backward}
 		if st.halfIdx(oh) != -1 {
 			t.Fatalf("other side %v is indexed", oh)
 		}
-		if asn, ok := st.overrides[oh]; !ok || asn != 51159 {
-			t.Fatalf("override on the unindexed other side = %v, %v; want 51159", asn, ok)
+		xi := st.halfIdx(x)
+		if got, ok := st.outsideHalf(xi); !ok || got != oh {
+			t.Fatalf("outside half of %v = %v, %v; want %v", x, got, ok, oh)
 		}
 		if st.stateHash() != st.stateHashRecompute() {
 			t.Fatal("maintained state fingerprint diverges from the recompute")
+		}
+		// The fingerprint is the explicit records plus exactly the
+		// outside half's indirect record (source x) and override (51159).
+		var explicit uint64
+		for hi := range int32(len(st.dirConnID)) {
+			if c := st.dirConnID[hi]; c >= 0 {
+				explicit += entryHash(directTag(st.dirUnc[hi]), st.halfAt(hi), uint32(st.idx.asnOf[c]))
+			}
+			if src := st.indirectSrc[hi]; src >= 0 {
+				explicit += st.indirectHash(hi, src)
+			}
+			if st.ovSet[hi] {
+				explicit += st.overrideHash(hi, st.idx.mapID[hi])
+			}
+		}
+		if got, want := st.stateHash()-explicit, entryHash(3, oh, uint32(x.Addr))+entryHash(4, oh, 51159); got != want {
+			t.Fatalf("outside records contribute %#x to the fingerprint, want %#x", got, want)
+		}
+		// The result reports x_f's link toward the unobserved other side
+		// but no record on it.
+		var found bool
+		for _, inf := range st.result().Inferences {
+			if inf.Addr == oh.Addr {
+				t.Fatalf("record on the unobserved other side: %+v", inf)
+			}
+			if inf.Addr == x.Addr && inf.Dir == x.Dir && !inf.Indirect {
+				found = inf.Connected == 51159 && inf.OtherSide == oh.Addr
+			}
+		}
+		if !found {
+			t.Fatalf("no direct record on %v toward 51159 naming other side %v", x, oh.Addr)
 		}
 	})
 
@@ -283,7 +337,7 @@ func TestDenseStateMatchesMapModel(t *testing.T) {
 		st := newRunState(cfg, ev)
 		st.fixpoint()
 		for _, h := range []Half{{Addr: ip("20.103.0.9"), Dir: Backward}, {Addr: ip("20.100.0.13"), Dir: Backward}} {
-			if _, ok := st.direct[h]; !ok {
+			if st.dirConnID[st.halfIdx(h)] < 0 {
 				t.Fatalf("fixture lost its direct inference on %v", h)
 			}
 		}

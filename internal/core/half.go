@@ -39,8 +39,8 @@ func (d Direction) Opposite() Direction { return 1 - d }
 
 // Half identifies one interface half: an interface address looking in one
 // direction. All algorithm state — IP2AS overrides, direct and indirect
-// inference records — is keyed by Half, never by bare address: §4.4.1 is
-// explicit that an update to one half must not leak to the other.
+// inference records — is kept per half, never per bare address: §4.4.1
+// is explicit that an update to one half must not leak to the other.
 type Half struct {
 	Addr inet.Addr
 	Dir  Direction
@@ -59,7 +59,8 @@ func (h Half) String() string {
 func (h Half) Opposite() Half { return Half{Addr: h.Addr, Dir: h.Dir.Opposite()} }
 
 // halfSlot packs an address index and a direction into the dense half
-// index the intern index and flat mirrors are keyed by (see internIndex).
+// index the intern index and inference columns are keyed by (see
+// internIndex).
 // Sorting slots sorts by (address, direction), matching halfCmp.
 func halfSlot(addrIdx int32, d Direction) int32 { return addrIdx*2 + int32(d) }
 

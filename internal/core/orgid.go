@@ -16,11 +16,11 @@ import (
 //   - addrIdx: position of an address in the sorted addrs slice.
 //   - halfIdx: addrIdx*2 + Dir, so sorting half indexes sorts by
 //     (address, direction) — exactly halfCmp order.
-//   - asnID: index into asnOf. The initial universe is every distinct
+//   - asnID: index into asnOf. The universe is every distinct
 //     announced base mapping; committed overrides only ever carry ASNs
-//     elected out of neighbour tallies over that universe, so the
-//     interner is closed under the algorithm (internASN still appends
-//     defensively, in deterministic commit order).
+//     elected out of neighbour tallies over that universe, so it is
+//     closed under the algorithm and every inference column stores
+//     asnIDs.
 //   - orgID: dense organisation id. orgOfASN maps asnID → orgID, so the
 //     election's sibling pooling (§4.9) is one array load per neighbour
 //     instead of a union-find walk.
@@ -59,27 +59,6 @@ type internIndex struct {
 	ixpA     []bool
 }
 
-// addrIdx returns a's index in addrs, or -1 when a is outside the
-// interface universe.
-func (st *runState) addrIdx(a inet.Addr) int32 {
-	if i, ok := slices.BinarySearch(st.addrs, a); ok {
-		return int32(i)
-	}
-	return -1
-}
-
-// halfIdx returns h's dense index, or -1 when h's address is outside the
-// interface universe (putative other sides never seen adjacent to
-// anything). Such halves can hold overrides, but no election ever reads
-// them.
-func (st *runState) halfIdx(h Half) int32 {
-	i := st.addrIdx(h.Addr)
-	if i < 0 {
-		return -1
-	}
-	return halfSlot(i, h.Dir)
-}
-
 // halfAt inverts halfIdx.
 func (st *runState) halfAt(idx int32) Half {
 	return Half{Addr: st.addrs[idx>>1], Dir: Direction(idx & 1)}
@@ -91,23 +70,6 @@ func (ix *internIndex) asnAt(id int32) inet.ASN {
 		return 0
 	}
 	return ix.asnOf[id]
-}
-
-// internASN returns the dense id for asn, appending a new one (and its
-// organisation) if unseen. Appends only happen from serial commit code,
-// in deterministic order.
-func (st *runState) internASN(asn inet.ASN) int32 {
-	if asn.IsZero() {
-		return -1
-	}
-	if id, ok := st.idx.idOfASN[asn]; ok {
-		return id
-	}
-	id := int32(len(st.idx.asnOf))
-	st.idx.asnOf = append(st.idx.asnOf, asn)
-	st.idx.idOfASN[asn] = id
-	st.idx.orgOfASN = append(st.idx.orgOfASN, st.internOrg(st.cfg.Orgs.Canonical(asn)))
-	return id
 }
 
 func (st *runState) internOrg(canonical inet.ASN) int32 {
@@ -141,7 +103,9 @@ func (st *runState) buildIndex(base []inet.ASN) {
 	ix.idOfASN = make(map[inet.ASN]int32, len(universe))
 	ix.orgIDOf = make(map[inet.ASN]int32)
 	for _, asn := range universe {
-		st.internASN(asn)
+		ix.idOfASN[asn] = int32(len(ix.asnOf))
+		ix.asnOf = append(ix.asnOf, asn)
+		ix.orgOfASN = append(ix.orgOfASN, st.internOrg(st.cfg.Orgs.Canonical(asn)))
 	}
 	ix.baseID = make([]int32, n)
 	ix.mapID = make([]int32, 2*n)
@@ -179,9 +143,8 @@ func (st *runState) buildIndex(base []inet.ASN) {
 		}
 	}
 
-	// Mutable flat mirrors of the inference state (see state.go) and the
-	// pass buffers, sized and preallocated here so pass-time work never
-	// allocates.
+	// The inference-state columns (see state.go) and the pass buffers,
+	// sized and preallocated here so pass-time work never allocates.
 	st.dirConnID = make([]int32, 2*n)
 	st.dirLocalID = make([]int32, 2*n)
 	st.indirectSrc = make([]int32, 2*n)
@@ -192,6 +155,7 @@ func (st *runState) buildIndex(base []inet.ASN) {
 	}
 	st.dirStub = make([]bool, 2*n)
 	st.dirUnc = make([]bool, 2*n)
+	st.ovSet = make([]bool, 2*n)
 	st.severedIdx = make([]bool, n)
 	st.inferredOnce = make([]bool, 2*n)
 	st.directBuf = make([]int32, 0, len(ix.halvesIdx))
@@ -199,17 +163,8 @@ func (st *runState) buildIndex(base []inet.ASN) {
 	for w := range st.electScr {
 		st.electScr[w].ensure(ix.orgCount, len(ix.asnOf))
 	}
-	st.infBlock = make([]directInf, 0, infSlabBlock)
 	st.demoteBuf = make([]int32, 0, 64)
-	st.purgeBuf = make([]Half, 0, 64)
-	// Re-make the inference maps with real capacity now that the
-	// eligible-half count is known: direct inferences land only on
-	// eligible halves, and overrides track inferences plus their other
-	// sides. Sizing up front keeps incremental rehashes out of the
-	// fixpoint loop.
-	st.direct = make(map[Half]*directInf, len(ix.halvesIdx)/2+16)
-	st.indirect = make(map[Half]Half, len(ix.halvesIdx)/2+16)
-	st.overrides = make(map[Half]inet.ASN, len(ix.halvesIdx)+16)
+	st.purgeBuf = make([]int32, 0, 64)
 }
 
 // electScratch is the per-worker reusable state of electNeighborAS:

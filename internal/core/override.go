@@ -1,51 +1,30 @@
 package core
 
-import "mapit/internal/inet"
-
-// setOverride commits an IP2AS override for h, keeping the overrides
-// map (authoritative for mapping(), stateHash, and the result), the
-// flat mapID view (authoritative for elections) and the hashSum
-// fingerprint in lockstep. Every override write in the algorithm goes
-// through here or clearOverride — that single funnel is what makes the
-// mirror and fingerprint invariants checkable.
-func (st *runState) setOverride(h Half, asn inet.ASN) {
-	if old, ok := st.overrides[h]; ok {
-		if old == asn {
-			return
-		}
-		st.hashSum -= entryHash(4, h, uint32(old))
-	}
-	st.hashSum += entryHash(4, h, uint32(asn))
-	st.overrides[h] = asn
-	if idx := st.halfIdx(h); idx >= 0 {
-		st.idx.mapID[idx] = st.internASN(asn)
-	}
+// overrideHash fingerprints an override of hi to the ASN interned as id.
+func (st *runState) overrideHash(hi, id int32) uint64 {
+	return entryHash(4, st.halfAt(hi), uint32(st.idx.asnOf[id]))
 }
 
-// setOverrideIdx is setOverride for commit paths that already hold h's
-// half index (≥ 0) and asn's intern id, skipping both lookups.
-func (st *runState) setOverrideIdx(h Half, idx int32, asn inet.ASN, id int32) {
-	if old, ok := st.overrides[h]; ok {
-		if old == asn {
+// setOverride commits an IP2AS override of hi to the ASN interned as id
+// into the committed view the elections read (idx.mapID).
+func (st *runState) setOverride(hi, id int32) {
+	if st.ovSet[hi] {
+		if st.idx.mapID[hi] == id {
 			return
 		}
-		st.hashSum -= entryHash(4, h, uint32(old))
+		st.hashSum -= st.overrideHash(hi, st.idx.mapID[hi])
 	}
-	st.hashSum += entryHash(4, h, uint32(asn))
-	st.overrides[h] = asn
-	st.idx.mapID[idx] = id
+	st.hashSum += st.overrideHash(hi, id)
+	st.ovSet[hi] = true
+	st.idx.mapID[hi] = id
 }
 
-// clearOverride removes h's override, restoring the base mapping as the
-// committed view.
-func (st *runState) clearOverride(h Half) {
-	old, ok := st.overrides[h]
-	if !ok {
-		return
-	}
-	st.hashSum -= entryHash(4, h, uint32(old))
-	delete(st.overrides, h)
-	if idx := st.halfIdx(h); idx >= 0 {
-		st.idx.mapID[idx] = st.idx.baseID[idx>>1]
+// clearOverride removes hi's override, restoring the base mapping as
+// the committed view.
+func (st *runState) clearOverride(hi int32) {
+	if st.ovSet[hi] {
+		st.hashSum -= st.overrideHash(hi, st.idx.mapID[hi])
+		st.ovSet[hi] = false
+		st.idx.mapID[hi] = st.idx.baseID[hi>>1]
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // removeStep is Alg 3 (§4.5): repeated passes demoting direct inferences
 // that would no longer be made — the connected organisation must still
 // account for more than half of the half's neighbour set under the
@@ -40,52 +38,40 @@ func (st *runState) removeStep() {
 		st.demoteBuf = demote
 
 		// Phase 2: demote them to indirect (retaining the IP2AS
-		// mapping for now), associated with their other side.
+		// mapping for now), associated with their other side: the
+		// inference survives iff the other side's direct inference
+		// stands. With no indexed other side, or a severed pairing,
+		// nothing can back it, so it is associated with itself and the
+		// purge below drops it.
 		for _, hidx := range demote {
-			h := st.halfAt(hidx)
-			st.unsetDirectIdx(h, hidx)
+			st.unsetDirect(hidx)
 			st.diag.Demoted++
 			if st.cfg.WholeInterfaceUpdates {
 				// The mirrored opposite-half override loses its
 				// backing direct inference with the demotion.
-				st.recomputeOverride(h.Opposite())
+				st.recomputeOverride(hidx ^ 1)
 			}
-			if oi := st.idx.otherIdx[hidx>>1]; oi >= 0 && !st.severedIdx[hidx>>1] {
-				// Indexed other side, pairing intact: the inference
-				// survives iff the other side's direct inference
-				// stands; record the association. The existing
-				// override is retained pending the purge.
-				if _, ok := st.indirect[h]; !ok {
-					oh := Half{Addr: st.addrs[oi], Dir: h.Dir.Opposite()}
-					st.setIndirectIdx(h, hidx, oh, halfSlot(oi, oh.Dir))
+			if st.indirectSrc[hidx] < 0 {
+				src := hidx
+				if oh, ok := st.otherHalfIdx(hidx); ok {
+					src = oh
 				}
-			} else if oh, ok := st.otherHalf(hidx); ok {
-				if _, ok := st.indirect[h]; !ok {
-					st.setIndirect(h, oh)
-				}
-			} else if _, ok := st.indirect[h]; !ok {
-				// No other side: nothing can back it; synthesise a
-				// dangling association so the purge below drops it.
-				st.setIndirect(h, h)
+				st.setIndirect(hidx, src)
 			}
 		}
 
 		// Phase 3: purge indirect inferences whose associated direct
-		// inference is gone, removing their updates. The association
-		// source is an unindexed other-side half exactly when a phase-2
-		// demotion had nothing indexed to point at — such a half can
-		// never carry a direct inference, so it purges.
+		// inference is gone, removing their updates.
 		purge := st.purgeBuf[:0]
-		for h, src := range st.indirect {
-			if si := st.halfIdx(src); si < 0 || st.dirConnID[si] < 0 {
-				purge = append(purge, h)
+		for hi, src := range st.indirectSrc {
+			if src >= 0 && st.dirConnID[src] < 0 {
+				purge = append(purge, int32(hi))
 			}
 		}
 		st.purgeBuf = purge
-		slices.SortFunc(purge, halfCmp)
-		for _, h := range purge {
-			st.unsetIndirect(h)
-			st.recomputeOverride(h)
+		for _, hi := range purge {
+			st.unsetIndirect(hi)
+			st.recomputeOverride(hi)
 		}
 
 		if len(demote) == 0 && len(purge) == 0 {

@@ -107,17 +107,18 @@ func (s *StageSnapshot) Result() *Result {
 
 // snapshotResult builds a stage-hook Result, reusing the previous
 // snapshot's inference list when the state fingerprint and the severed
-// set (which the fingerprint does not cover but the output does, via
-// other-side gating) are both unchanged. Diagnostics are copied fresh
-// either way — counters move even when the inference state does not.
+// pairs (which the fingerprint does not cover but the output does, via
+// other-side gating; pairs are only ever added, so their count tells)
+// are both unchanged. Diagnostics are copied fresh either way —
+// counters move even when the inference state does not.
 func (st *runState) snapshotResult() *Result {
-	if st.snapInf != nil && st.snapHash == st.hashSum && st.snapSevered == len(st.severed) {
+	if st.snapInf != nil && st.snapHash == st.hashSum && st.snapSevered == st.diag.DivergentOtherSides {
 		return &Result{Inferences: st.snapInf, Diag: st.diag}
 	}
 	r := st.result()
 	st.snapInf = r.Inferences
 	st.snapHash = st.hashSum
-	st.snapSevered = len(st.severed)
+	st.snapSevered = st.diag.DivergentOtherSides
 	return r
 }
 

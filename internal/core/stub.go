@@ -46,16 +46,12 @@ func (st *runState) stubHeuristic() {
 		if !st.cfg.Rels.IsStub(asN, st.cfg.Orgs) {
 			continue
 		}
-		hf := Half{Addr: st.addrs[ai], Dir: Forward}
-		st.setDirect(hf, hfIdx, st.newDirectInf(directInf{local: ix.asnAt(asHID), localID: asHID,
-			connected: asN, connectedID: asNID, stub: true}))
-		st.setOverrideIdx(hf, hfIdx, asN, asNID)
+		st.setDirect(hfIdx, asNID, asHID, true)
+		st.setOverride(hfIdx, asNID)
 		st.diag.StubInferences++
-		if oh, ok := st.otherHalf(hfIdx); ok {
-			if _, selfDirect := st.direct[oh]; !selfDirect {
-				st.setIndirect(oh, hf)
-				st.setOverride(oh, asN)
-			}
+		if oh, ok := st.otherHalfIdx(hfIdx); ok && st.dirConnID[oh] < 0 {
+			st.setIndirect(oh, hfIdx)
+			st.setOverride(oh, asNID)
 		}
 	}
 }
